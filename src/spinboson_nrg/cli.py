@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import NRGConfig
+from .engine import PAPER_FIDELITY, NRGConfig
 from .observables import find_alpha_max
 from .params import DomainError, SpinBosonPoint
 from .sweep import (
+    CONFIG_FIELDS,
     SweepSpec,
     preset,
     run_point,
@@ -26,16 +27,18 @@ EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 
+
+def _output_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"expected csv or json, got {text!r}")
+    return text
+
+
+# config-file key -> converter
 _CONFIG_KEYS = {
-    "lambda": float,
-    "n_keep": int,
-    "n_max": int,
-    "eta": float,
-    "plateau_tol": float,
-    "degeneracy_tol": float,
-    "plateau_window": int,
+    **{key: type(f.default) for key, f in CONFIG_FIELDS.items()},
     "jobs": int,
-    "format": str,
+    "format": _output_format,
     "output": str,
 }
 
@@ -78,7 +81,10 @@ def read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise CLIError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](raw.strip())
+            try:
+                values[key] = _CONFIG_KEYS[key](raw.strip())
+            except ValueError as exc:
+                raise CLIError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -137,7 +143,8 @@ def build_parser() -> _Parser:
     p_amax.add_argument("--eps-over-delta", type=float, required=True)
     p_amax.add_argument("--delta-ratio", type=float, default=0.04)
     _add_solver_flags(p_amax)
-    _add_output_flags(p_amax)
+    p_amax.add_argument("--output", default=None, metavar="PATH",
+                        help="also write the result as JSON")
 
     p_verify = sub.add_parser("verify", help="run the validation suites")
     _add_solver_flags(p_verify)
@@ -145,20 +152,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_ATTRS = (("lambda", "lam"), ("n_keep", "n_keep"), ("n_max", "n_max"),
-                 ("eta", "eta"), ("plateau_tol", "plateau_tol"),
-                 ("degeneracy_tol", "degeneracy_tol"),
-                 ("plateau_window", "plateau_window"))
-
-
 def build_config(args, file_values: dict) -> NRGConfig:
     # precedence: defaults < config file < --paper-fidelity < explicit flags
-    values = {}
-    for file_key, attr in _CONFIG_ATTRS:
-        if file_key in file_values:
-            values[attr] = file_values[file_key]
+    values = {f.name: file_values[k]
+              for k, f in CONFIG_FIELDS.items() if k in file_values}
     if getattr(args, "paper_fidelity", False):
-        values.update(lam=1.5, n_keep=1200)
+        values.update(PAPER_FIDELITY)
     for attr in ("lam", "n_keep", "n_max", "eta"):
         flag = getattr(args, attr, None)
         if flag is not None:

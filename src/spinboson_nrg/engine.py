@@ -1,9 +1,20 @@
 """Iterative block diagonalization of the impurity + chain Hamiltonian sequence.
 
-The Hamiltonian of iteration N covers the impurity spin and chain sites
-0 .. N.  Total charge relative to half filling (q) and twice the total spin
-projection (two_sz) are conserved, so every iteration is diagonalized sector
-by sector.
+Iteration N covers the impurity spin and chain sites 0 .. N.  Total charge
+relative to half filling (q) and twice the total spin projection (two_sz) are
+conserved, so every iteration is diagonalized sector by sector.
+
+Each iteration is one extension step: on the product of the kept states with
+the four states of a new site it diagonalizes
+
+    H = scale * diag(E_old) + sum_k c_k (A_k (x) B_k + h.c.),
+
+with A_k a BlockOp on the old block (or its identity, never materialised) and
+B_k a site matrix.  One routine, `rotate`, takes any A (x) B into the kept
+eigenbasis: the f^dag of the newest site and the carried observables alike.
+The first step extends the bare impurity (iteration -1, energies +-h/2) by
+site 0 with the Kondo exchange; every later step adds the hopping
+xi_N (f^dag_new f_old + h.c.).
 
 Rescaling convention: stored sector energies at iteration N >= 1 are
 Lambda^((N-1)/2) * (E - E0), with the current ground state at zero; the
@@ -11,34 +22,22 @@ iteration-0 spectrum is stored unrescaled.  The subtracted ground shifts are
 accumulated unrescaled in e0_accumulated, so the absolute chain ground energy
 stays available for energy-derivative checks.
 
-Fermionic signs: a creation operator of the newest site anticommutes past all
-block fermions, contributing the electron-number parity of the block state.
-Within a sector that parity is constant, so the sign is a per-block scalar.
+Fermionic signs: A (x) B means B acting after A.  A site term that changes
+the electron count anticommutes past the fermions of the block state A leads
+to; within a sector their parity is constant, so the sign is a per-block
+scalar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .chain import WilsonChain, build_chain, energy_scale
-from .fock import (
-    DELTA_DN,
-    DELTA_UP,
-    DN,
-    DOUBLE,
-    DQ,
-    DTSZ,
-    FDAG_DN,
-    FDAG_UP,
-    IMP_DN,
-    IMP_UP,
-    LOCAL_STATES,
-    UP,
-)
+from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, IMP_DN, IMP_UP, LOCAL_STATES, N_EL
 from .params import DomainError, KondoParams, kondo_renormalized_tunneling
 
 
@@ -89,9 +88,11 @@ class NRGConfig:
     @classmethod
     def paper_fidelity(cls, **overrides) -> "NRGConfig":
         """Production settings: finer discretization, larger kept basis."""
-        base = dict(lam=1.5, n_keep=1200)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{**PAPER_FIDELITY, **overrides})
+
+
+# the production bundle behind NRGConfig.paper_fidelity and --paper-fidelity
+PAPER_FIDELITY = {"lam": 1.5, "n_keep": 1200}
 
 
 @dataclass
@@ -99,6 +100,21 @@ class SectorBlock:
     energies: np.ndarray      # ascending, iteration ground state at zero
     vectors: np.ndarray       # product basis -> eigenbasis, kept columns only
     kept: int
+
+
+# block-sparse operator: (to_sector, from_sector) -> matrix between the kept
+# states of the two sectors; a missing key is a zero block
+BlockOp = dict[tuple[Sector, Sector], np.ndarray]
+
+# the bare impurity: one state per sector (q = 0, two_sz = +-1)
+_BARE_DN, _BARE_UP = Sector(0, IMP_DN), Sector(0, IMP_UP)
+S_MINUS: BlockOp = {(_BARE_DN, _BARE_UP): np.ones((1, 1))}
+S_Z: BlockOp = {(s, s): np.full((1, 1), 0.5 * s.two_sz) for s in (_BARE_DN, _BARE_UP)}
+
+# site matrices on the four-state basis of `fock`
+SITE_ONE = np.eye(4)
+SITE_S_PLUS = FDAG_UP @ FDAG_DN.T                 # f^dag_up f_dn
+SITE_S_Z = 0.5 * np.diag(np.array(DTSZ, float))  # (n_up - n_dn) / 2
 
 
 @dataclass
@@ -109,29 +125,16 @@ class IterationState:
     ground_sector: Sector
     config: NRGConfig | None = None
     lam: float | None = None
-    # f^dag matrices of the newest site in the current eigenbasis, mapping a
-    # sector to sector + delta_sigma
-    fdag_up: dict[Sector, np.ndarray] = field(default_factory=dict)
-    fdag_dn: dict[Sector, np.ndarray] = field(default_factory=dict)
-    # product-basis composition of each sector (iterations >= 1)
+    # (previous sector x new-site state) composition of each product sector
     structure: dict[Sector, tuple[Group, ...]] | None = None
-    # raw (impurity, occupation) basis per sector (iteration 0 only)
-    raw_basis: dict[Sector, tuple[tuple[int, int], ...]] | None = None
     # at zero field the spectrum is exactly symmetric under two_sz -> -two_sz
     spin_symmetric: bool = False
 
-    @property
-    def n_sites(self) -> int:
-        return self.n + 1
-
     def energy_unscale(self) -> float:
         """Factor converting stored energies back to absolute D0 units."""
-        if self.n == 0 or self.lam is None:
+        if self.n <= 0 or self.lam is None:
             return 1.0
-        return self.lam ** (-(self.n - 1) / 2.0)
-
-    def total_kept(self) -> int:
-        return sum(b.kept for b in self.blocks.values())
+        return energy_scale(self.lam, self.n)
 
 
 def _block_parity_sign(q: int, n_sites: int) -> float:
@@ -163,93 +166,6 @@ def _symmetrize_spin_reflection(eig: dict[Sector, tuple[np.ndarray, np.ndarray]]
             eig[m] = (w_avg, v_m)
 
 
-def _impurity_site_basis() -> dict[Sector, tuple[tuple[int, int], ...]]:
-    basis: dict[Sector, list[tuple[int, int]]] = {}
-    for imp in (IMP_UP, IMP_DN):
-        for occ in LOCAL_STATES:
-            s = Sector(DQ[occ], imp + DTSZ[occ])
-            basis.setdefault(s, []).append((imp, occ))
-    return {s: tuple(v) for s, v in sorted(basis.items())}
-
-
-def spin_flip_raw(states: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Matrix of O_x + O_x^dag on a raw (impurity, occupation) sector basis.
-
-    O_x flips the impurity down while moving the site-0 electron from down to
-    up; it annihilates states with site 0 empty or doubly occupied.
-    """
-    d = len(states)
-    m = np.zeros((d, d))
-    for j, (imp_j, occ_j) in enumerate(states):
-        if imp_j != IMP_UP or occ_j != DN:
-            continue
-        for i, (imp_i, occ_i) in enumerate(states):
-            if imp_i == IMP_DN and occ_i == UP:
-                m[i, j] += 1.0
-                m[j, i] += 1.0
-    return m
-
-
-def init_impurity_site(k: KondoParams, config: NRGConfig | None = None) -> IterationState:
-    """Diagonalize the 8-state impurity + site-0 Hamiltonian in sectors.
-
-    H0 carries the transverse spin-flip term, the longitudinal Ising term and
-    the impurity Zeeman term; the chain kinetic energy starts at the next
-    iteration.
-    """
-    basis = _impurity_site_basis()
-    jperp, jpar, h = k.jperp, k.jpar, k.field
-
-    eig: dict[Sector, tuple[np.ndarray, np.ndarray]] = {}
-    for s, states in basis.items():
-        ham = 0.5 * jperp * spin_flip_raw(states)
-        for i, (imp, occ) in enumerate(states):
-            n_up = 1.0 if occ in (UP, DOUBLE) else 0.0
-            n_dn = 1.0 if occ in (DN, DOUBLE) else 0.0
-            ham[i, i] += 0.25 * jpar * (n_up - n_dn) * imp + 0.5 * h * imp
-        eig[s] = _diagonalize(ham, s)
-
-    spin_symmetric = h == 0.0
-    if spin_symmetric:
-        _symmetrize_spin_reflection(eig)
-
-    e0 = min(w[0] for w, _ in eig.values())
-    ground = min(s for s, (w, _) in eig.items() if w[0] - e0 <= 0.0)
-    blocks = {
-        s: SectorBlock(energies=w - e0, vectors=v, kept=len(w))
-        for s, (w, v) in eig.items()
-    }
-
-    fdag_up: dict[Sector, np.ndarray] = {}
-    fdag_dn: dict[Sector, np.ndarray] = {}
-    for (dq, dtsz), floc, out in (
-        (DELTA_UP, FDAG_UP, fdag_up),
-        (DELTA_DN, FDAG_DN, fdag_dn),
-    ):
-        for s, states in basis.items():
-            t = Sector(s.q + dq, s.two_sz + dtsz)
-            if t not in basis:
-                continue
-            raw = np.zeros((len(basis[t]), len(states)))
-            for j, (imp_j, occ_j) in enumerate(states):
-                for i, (imp_i, occ_i) in enumerate(basis[t]):
-                    if imp_i == imp_j:
-                        raw[i, j] = floc[occ_i, occ_j]
-            out[s] = eig[t][1].T @ raw @ eig[s][1]
-
-    return IterationState(
-        n=0,
-        blocks=blocks,
-        e0_accumulated=e0,
-        ground_sector=ground,
-        config=config,
-        fdag_up=fdag_up,
-        fdag_dn=fdag_dn,
-        raw_basis=basis,
-        spin_symmetric=spin_symmetric,
-    )
-
-
 def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(ham)
@@ -260,117 +176,143 @@ def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarra
         ) from exc
 
 
-_SPIN_CHANNELS = ((DELTA_UP, FDAG_UP, "fdag_up"), (DELTA_DN, FDAG_DN, "fdag_dn"))
+def _pieces(structure: dict[Sector, tuple[Group, ...]], n_old_sites: int, a, b):
+    """Nonzero blocks of A (x) B on a product basis over an n_old_sites block.
+
+    Yields the (sector, group) of the row and of the column block, the signed
+    site matrix element, and the A block (None when A is the identity).
+    """
+    where = {(g.sector, g.local): (t, g) for t, gs in structure.items() for g in gs}
+    if a is None:
+        a = {(s, s): None for s in sorted({s for s, _ in where})}
+    nonzero = zip(*map(list, np.nonzero(b)))
+    site = [(i, j, float(b[i, j]), (N_EL[i] - N_EL[j]) % 2) for i, j in nonzero]
+    for (s_to, s_from), block in a.items():
+        for l_to, l_from, elem, odd in site:
+            row, col = where.get((s_to, l_to)), where.get((s_from, l_from))
+            if row is None or col is None:
+                continue
+            if odd:
+                elem *= _block_parity_sign(s_to.q, n_old_sites)
+            yield row, col, elem, block
+
+
+def rotate(state: IterationState, a: BlockOp | None, b: np.ndarray) -> BlockOp:
+    """A (x) B in the kept eigenbasis of state.
+
+    A acts on the block of the previous iteration (None for its identity) and
+    B on the newest site.
+    """
+    out: BlockOp = {}
+    blocks = state.blocks
+    pieces = _pieces(state.structure, state.n, a, b)
+    for (t_to, g_to), (t_from, g_from), elem, a_blk in pieces:
+        if t_to not in blocks or t_from not in blocks:
+            continue
+        u_to = blocks[t_to].vectors[g_to.offset : g_to.offset + g_to.size]
+        u_from = blocks[t_from].vectors[g_from.offset : g_from.offset + g_from.size]
+        m = u_to.T @ u_from if a_blk is None else u_to.T @ a_blk @ u_from
+        m *= elem
+        key = (t_to, t_from)
+        if key in out:
+            out[key] += m
+        else:
+            out[key] = m
+    return out
+
+
+def _extend(state: IterationState, terms, lam: float | None = None) -> IterationState:
+    """Add one site: diagonalize scale * diag(E_old) + sum c (A (x) B + h.c.).
+
+    terms holds (c, A, B) triples; lam is None only for the impurity step.
+    """
+    n_new = state.n + 1
+    unscale = energy_scale(lam, n_new) if n_new > 0 else 1.0
+    scale = state.energy_unscale() / unscale
+
+    groups: dict[Sector, list[Group]] = {}
+    for s in sorted(state.blocks):
+        for loc in LOCAL_STATES:
+            lst = groups.setdefault(Sector(s.q + DQ[loc], s.two_sz + DTSZ[loc]), [])
+            off = lst[-1].offset + lst[-1].size if lst else 0
+            lst.append(Group(s, loc, off, state.blocks[s].kept))
+    structure = {t: tuple(lst) for t, lst in groups.items()}
+
+    hams = {
+        t: np.diag(np.concatenate([scale * state.blocks[g.sector].energies for g in lst]))
+        for t, lst in structure.items()
+    }
+    for c, a, b in terms:
+        # the old block holds n_new sites
+        for (t, g_to), (_, g_from), elem, a_blk in _pieces(structure, n_new, a, b):
+            m = (c * elem) * a_blk
+            r = slice(g_to.offset, g_to.offset + g_to.size)
+            k = slice(g_from.offset, g_from.offset + g_from.size)
+            hams[t][r, k] += m
+            hams[t][k, r] += m.T
+
+    eig = {t: _diagonalize(hams[t], t) for t in sorted(hams)}
+    if state.spin_symmetric:
+        _symmetrize_spin_reflection(eig)
+
+    shift = min(w[0] for w, _ in eig.values())
+    ground = min(t for t, (w, _) in eig.items() if w[0] - shift <= 0.0)
+    return IterationState(
+        n=n_new,
+        blocks={
+            t: SectorBlock(energies=w - shift, vectors=v, kept=len(w))
+            for t, (w, v) in eig.items()
+        },
+        e0_accumulated=state.e0_accumulated + unscale * shift,
+        ground_sector=ground,
+        config=state.config,
+        lam=lam,
+        structure=structure,
+        spin_symmetric=state.spin_symmetric,
+    )
+
+
+def init_impurity_site(k: KondoParams, config: NRGConfig | None = None) -> IterationState:
+    """Iteration 0: the bare impurity extended by site 0.
+
+    The bare impurity carries the Zeeman term; the step adds the transverse
+    spin flip (J_perp/2)(S^- s^+ + h.c.) and the longitudinal Ising term
+    J_par S_z s_z.  The chain kinetic energy starts at the next iteration.
+    """
+    blocks = {
+        s: SectorBlock(np.array([0.5 * k.field * s.two_sz]), np.eye(1), 1)
+        for s in (_BARE_DN, _BARE_UP)
+    }
+    bare = IterationState(
+        n=-1,
+        blocks=blocks,
+        e0_accumulated=0.0,
+        ground_sector=min(blocks, key=lambda s: blocks[s].energies[0]),
+        config=config,
+        spin_symmetric=k.field == 0.0,
+    )
+    return _extend(
+        bare, [(0.5 * k.jperp, S_MINUS, SITE_S_PLUS), (0.5 * k.jpar, S_Z, SITE_S_Z)]
+    )
 
 
 def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
     """Extend the chain by one site and rediagonalize every sector.
 
     Builds the rescaled Hamiltonian sqrt(Lambda) * H_N + xi_N * (hopping) on
-    the kept-states x new-site product basis, with the per-sector parity sign
-    on the new-site fermion operators.
+    the kept-states x new-site product basis; f_old is the f^dag of the
+    previous newest site, rotated into the kept eigenbasis and transposed.
     """
     if state.n + 1 > chain.length:
         raise EngineError(
             f"chain provides {chain.length} hoppings, cannot add site {state.n + 1}"
         )
-    lam = chain.lam
     xi = chain.coupling(state.n)
-    scale = 1.0 if state.n == 0 else math.sqrt(lam)
-    n_sites_old = state.n_sites
-    n_new = state.n + 1
-
-    groups: dict[Sector, list[Group]] = {}
-    for s in sorted(state.blocks):
-        d = state.blocks[s].kept
-        for loc in LOCAL_STATES:
-            t = Sector(s.q + DQ[loc], s.two_sz + DTSZ[loc])
-            lst = groups.setdefault(t, [])
-            off = lst[-1].offset + lst[-1].size if lst else 0
-            lst.append(Group(s, loc, off, d))
-    index = {t: {(g.sector, g.local): g for g in lst} for t, lst in groups.items()}
-    fdag_old = {"fdag_up": state.fdag_up, "fdag_dn": state.fdag_dn}
-
-    eig: dict[Sector, tuple[np.ndarray, np.ndarray]] = {}
-    for t in sorted(groups):
-        lst = groups[t]
-        dim = lst[-1].offset + lst[-1].size
-        ham = np.zeros((dim, dim))
-        for g in lst:
-            sl = slice(g.offset, g.offset + g.size)
-            np.fill_diagonal(ham[sl, sl], scale * state.blocks[g.sector].energies)
-        for (dq, dtsz), floc, name in _SPIN_CHANNELS:
-            for g_to in lst:
-                fmat = fdag_old[name].get(g_to.sector)
-                if fmat is None:
-                    continue
-                s_from = Sector(g_to.sector.q + dq, g_to.sector.two_sz + dtsz)
-                sign = _block_parity_sign(g_to.sector.q, n_sites_old)
-                for l_from in LOCAL_STATES:
-                    elem = floc[g_to.local, l_from]
-                    if elem == 0.0:
-                        continue
-                    g_from = index[t].get((s_from, l_from))
-                    if g_from is None:
-                        continue
-                    # <to| f^dag_new f_old |from>; f_old block is fmat^T
-                    blockm = (xi * elem * sign) * fmat.T
-                    r = slice(g_to.offset, g_to.offset + g_to.size)
-                    c = slice(g_from.offset, g_from.offset + g_from.size)
-                    ham[r, c] += blockm
-                    ham[c, r] += blockm.T
-        eig[t] = _diagonalize(ham, t)
-
-    if state.spin_symmetric:
-        _symmetrize_spin_reflection(eig)
-
-    shift = min(w[0] for w, _ in eig.values())
-    ground = min(t for t, (w, _) in eig.items() if w[0] - shift <= 0.0)
-    e0 = state.e0_accumulated + lam ** (-(n_new - 1) / 2.0) * shift
-
-    blocks = {
-        t: SectorBlock(energies=w - shift, vectors=v, kept=len(w))
-        for t, (w, v) in eig.items()
-    }
-
-    fdag_up: dict[Sector, np.ndarray] = {}
-    fdag_dn: dict[Sector, np.ndarray] = {}
-    for (dq, dtsz), floc, out in (
-        (DELTA_UP, FDAG_UP, fdag_up),
-        (DELTA_DN, FDAG_DN, fdag_dn),
-    ):
-        for t in sorted(groups):
-            t2 = Sector(t.q + dq, t.two_sz + dtsz)
-            if t2 not in groups:
-                continue
-            u_from, u_to = eig[t][1], eig[t2][1]
-            acc = np.zeros((u_to.shape[1], u_from.shape[1]))
-            for g_from in groups[t]:
-                sign = _block_parity_sign(g_from.sector.q, n_sites_old)
-                for l_to in LOCAL_STATES:
-                    elem = floc[l_to, g_from.local]
-                    if elem == 0.0:
-                        continue
-                    g_to = index[t2].get((g_from.sector, l_to))
-                    if g_to is None:
-                        continue
-                    rt = slice(g_to.offset, g_to.offset + g_to.size)
-                    rf = slice(g_from.offset, g_from.offset + g_from.size)
-                    acc += (elem * sign) * (u_to[rt, :].T @ u_from[rf, :])
-            out[t] = acc
-
-    return IterationState(
-        n=n_new,
-        blocks=blocks,
-        e0_accumulated=e0,
-        ground_sector=ground,
-        config=state.config,
-        lam=lam,
-        fdag_up=fdag_up,
-        fdag_dn=fdag_dn,
-        structure={t: tuple(lst) for t, lst in groups.items()},
-        spin_symmetric=state.spin_symmetric,
-    )
+    terms = []
+    for fdag in (FDAG_UP, FDAG_DN):
+        f_old = {(s, t): m.T for (t, s), m in rotate(state, None, fdag).items()}
+        terms.append((xi, f_old, fdag))
+    return _extend(state, terms, chain.lam)
 
 
 def truncate(
@@ -410,21 +352,7 @@ def truncate(
         blocks[s] = SectorBlock(
             energies=b.energies[:c], vectors=b.vectors[:, :c], kept=c
         )
-
-    def _slice_fdag(src: dict[Sector, np.ndarray], dq: int, dtsz: int):
-        out = {}
-        for s, m in src.items():
-            t = Sector(s.q + dq, s.two_sz + dtsz)
-            if s in keep_count and t in keep_count:
-                out[s] = m[: keep_count[t], : keep_count[s]]
-        return out
-
-    return replace(
-        state,
-        blocks=blocks,
-        fdag_up=_slice_fdag(state.fdag_up, *DELTA_UP),
-        fdag_dn=_slice_fdag(state.fdag_dn, *DELTA_DN),
-    )
+    return replace(state, blocks=blocks)
 
 
 @dataclass

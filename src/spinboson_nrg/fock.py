@@ -29,9 +29,5 @@ FDAG_DN[DOUBLE, UP] = -1.0
 FDAG_UP.flags.writeable = False
 FDAG_DN.flags.writeable = False
 
-# sector displacement (delta q, delta 2Sz) caused by f^dag_sigma
-DELTA_UP = (1, 1)
-DELTA_DN = (1, -1)
-
 # impurity 2*Sz values
 IMP_UP, IMP_DN = 1, -1

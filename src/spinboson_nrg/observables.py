@@ -2,9 +2,13 @@
 
 Two operators are carried through the iterations: the impurity spin-flip
 correlator O_x + O_x^dag (giving sx) and the impurity S_z (giving sz as the
-thermodynamic average 2<S_z>).  Both conserve charge and total spin
-projection, so their matrices stay sector-diagonal, and both contain an even
-number of fermion operators, so no sign strings appear when a site is added.
+thermodynamic average 2<S_z>).  Both are BlockOps taken into every new
+eigenbasis by the engine's `rotate`, the routine that also carries the
+Hamiltonian's f^dag: at iteration 0 they are S^- (x) s^+ plus its transpose
+and S_z (x) 1 on the bare impurity and site 0, and each later step rotates
+O (x) 1.  Both conserve charge and total spin projection, so their blocks
+are keyed (s, s), and both contain an even number of fermion operators, so
+no sign strings appear when a site is added.
 
 Sign convention: with the Hamiltonian used here the raw ground-state
 correlator <O_x + O_x^dag> is negative and, for a positive field, <2 S_z> is
@@ -21,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import ConvergenceReport, IterationState, NRGConfig, Sector, spin_flip_raw
+from .engine import BlockOp, ConvergenceReport, IterationState, NRGConfig, rotate
+from .engine import S_MINUS, S_Z, SITE_ONE, SITE_S_PLUS  # bare impurity and site ops
 from .params import DomainError
 
 
@@ -31,60 +36,36 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class OperatorBlocks:
-    """Sector-diagonal operator matrices in the eigenbasis of iteration n."""
+    """O_x + O_x^dag and impurity S_z in the eigenbasis of iteration n."""
 
     n: int
-    ox: dict[Sector, np.ndarray]
-    oz: dict[Sector, np.ndarray]
+    ox: BlockOp
+    oz: BlockOp
 
 
 def init_operator_blocks(state: IterationState) -> OperatorBlocks:
-    """Exact 8-dimensional matrices of O_x + O_x^dag and impurity S_z."""
-    if state.raw_basis is None or state.n != 0:
+    """Exact matrices of O_x + O_x^dag and impurity S_z at iteration 0."""
+    if state.structure is None or state.n != 0:
         raise ValueError("operator blocks must be seeded from the impurity-site state")
-    ox: dict[Sector, np.ndarray] = {}
-    oz: dict[Sector, np.ndarray] = {}
-    for s, states in state.raw_basis.items():
-        v = state.blocks[s].vectors
-        mx = spin_flip_raw(states)
-        mz = np.diag([0.5 * imp for imp, _ in states])
-        ox[s] = v.T @ mx @ v
-        oz[s] = v.T @ mz @ v
-    return OperatorBlocks(n=0, ox=ox, oz=oz)
+    flip = rotate(state, S_MINUS, SITE_S_PLUS)
+    return OperatorBlocks(
+        n=0,
+        ox={key: m + m.T for key, m in flip.items()},  # keys are (s, s)
+        oz=rotate(state, S_Z, SITE_ONE),
+    )
 
 
 def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
-    """Rotate the blocks into the eigenbasis of the next iteration.
-
-    The new-site factor of both operators is the identity, so each block is
-    assembled from the parent-sector blocks and projected to kept states.
-    """
+    """Rotate O (x) 1 into the kept eigenbasis of the next iteration."""
     if state.structure is None or state.n != ops.n + 1:
         raise ValueError(
             f"cannot propagate operators tagged n={ops.n} to iteration n={state.n}"
         )
-    new_ox: dict[Sector, np.ndarray] = {}
-    new_oz: dict[Sector, np.ndarray] = {}
-    for t in sorted(state.blocks):
-        u = state.blocks[t].vectors
-        kept = u.shape[1]
-        gx = np.zeros((kept, kept))
-        gz = np.zeros((kept, kept))
-        for g in state.structure[t]:
-            ox_old = ops.ox.get(g.sector)
-            oz_old = ops.oz.get(g.sector)
-            if ox_old is None or ox_old.shape != (g.size, g.size):
-                raise ValueError(
-                    f"operator block mismatch in sector {g.sector}:"
-                    f" expected {(g.size, g.size)},"
-                    f" got {None if ox_old is None else ox_old.shape}"
-                )
-            us = u[g.offset : g.offset + g.size, :]
-            gx += us.T @ ox_old @ us
-            gz += us.T @ oz_old @ us
-        new_ox[t] = gx
-        new_oz[t] = gz
-    return OperatorBlocks(n=state.n, ox=new_ox, oz=new_oz)
+    return OperatorBlocks(
+        n=state.n,
+        ox=rotate(state, ops.ox, SITE_ONE),
+        oz=rotate(state, ops.oz, SITE_ONE),
+    )
 
 
 def ground_expectation_raw(
@@ -100,9 +81,10 @@ def ground_expectation_raw(
     sz_vals: list[float] = []
     for s in sorted(state.blocks):
         energies = state.blocks[s].energies
+        ox, oz = ops.ox.get((s, s)), ops.oz.get((s, s))
         for i in np.nonzero(energies <= degeneracy_tol)[0]:
-            sx_vals.append(float(ops.ox[s][i, i]))
-            sz_vals.append(2.0 * float(ops.oz[s][i, i]))
+            sx_vals.append(0.0 if ox is None else float(ox[i, i]))
+            sz_vals.append(0.0 if oz is None else 2.0 * float(oz[i, i]))
     if not sx_vals:
         raise ValueError("no ground state found below the degeneracy tolerance")
     return float(np.mean(sx_vals)), float(np.mean(sz_vals))

@@ -12,7 +12,7 @@ import concurrent.futures
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -97,14 +97,10 @@ class SweepSpec:
     alpha: tuple[float, ...]
     eps_over_delta: tuple[float, ...]
     delta_ratio: tuple[float, ...]
-    output: str | None = None
-    fmt: str = "csv"
 
     def points(self) -> list[SpinBosonPoint]:
         if not (self.alpha and self.eps_over_delta and self.delta_ratio):
             raise DomainError("sweep axes must all be non-empty")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"unsupported format {self.fmt!r}")
         return [
             SpinBosonPoint(alpha=a, epsilon=e, delta_ratio=d)
             for d in self.delta_ratio
@@ -212,6 +208,10 @@ def _record_row(r: ObservableRecord) -> dict:
 _CSV_FIELDS = CSV_HEADER.split(",")
 
 
+# NRGConfig fields under their output and config-file names
+CONFIG_FIELDS = {"lambda" if f.name == "lam" else f.name: f for f in fields(NRGConfig)}
+
+
 def write_output(records, fmt: str, stream, cfg: NRGConfig | None = None, note=None):
     """Serialize records; CSV is header + rows, JSON adds a metadata block."""
     if fmt == "csv":
@@ -227,15 +227,7 @@ def write_output(records, fmt: str, stream, cfg: NRGConfig | None = None, note=N
             "sign_convention": SIGN_CONVENTION_NOTE,
         }
         if cfg is not None:
-            meta["config"] = {
-                "lambda": cfg.lam,
-                "n_keep": cfg.n_keep,
-                "n_max": cfg.n_max,
-                "eta": cfg.eta,
-                "plateau_tol": cfg.plateau_tol,
-                "degeneracy_tol": cfg.degeneracy_tol,
-                "plateau_window": cfg.plateau_window,
-            }
+            meta["config"] = {k: getattr(cfg, f.name) for k, f in CONFIG_FIELDS.items()}
         if note:
             meta["note"] = note
         json.dump(

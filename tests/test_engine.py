@@ -132,9 +132,10 @@ class TestFermionicSigns:
             for g in groups:
                 v0 = st0.blocks[g.sector].vectors
                 rot[g.offset : g.offset + g.size, g.offset : g.offset + g.size] = v0
-                for imp, occ in st0.raw_basis[g.sector]:
-                    imp_bit = (1 - imp) // 2
-                    raw_index.append(imp_bit * 16 + occ + 4 * g.local)
+                # iteration-0 basis: bare impurity state x site-0 occupation
+                for g0 in st0.structure[g.sector]:
+                    imp_bit = (1 - g0.sector.two_sz) // 2
+                    raw_index.append(imp_bit * 16 + g0.local + 4 * g.local)
             h_raw = rot @ h_eig @ rot.T
             ref = ham_oracle[np.ix_(raw_index, raw_index)]
             worst = max(worst, float(np.max(np.abs(h_raw - ref))))

@@ -8,6 +8,7 @@ from spinboson_nrg import (
     KondoParams,
     NRGConfig,
     OperatorBlocks,
+    Sector,
     SpinBosonPoint,
     add_site,
     build_chain,
@@ -46,17 +47,18 @@ class TestInitOperatorBlocks:
         st = init_impurity_site(GENERIC)
         ops = init_operator_blocks(st)
         # only the two-dimensional (0, 0) sector hosts the spin flip
-        for sec, m in ops.ox.items():
-            if (sec.q, sec.two_sz) == (0, 0):
-                assert np.allclose(np.abs(np.linalg.eigvalsh(m)), [1.0, 1.0])
-            else:
+        center = (Sector(0, 0), Sector(0, 0))
+        assert np.allclose(np.abs(np.linalg.eigvalsh(ops.ox[center])), [1.0, 1.0])
+        for key, m in ops.ox.items():
+            assert key[0] == key[1]
+            if key != center:
                 assert np.max(np.abs(m)) < 1e-14
 
     def test_impurity_sz_diagonal(self):
         st = init_impurity_site(GENERIC)
         ops = init_operator_blocks(st)
-        for sec, m in ops.oz.items():
-            w = np.linalg.eigvalsh(m)
+        for sec in st.blocks:
+            w = np.linalg.eigvalsh(ops.oz[(sec, sec)])
             assert np.all(np.isin(np.round(2 * w), [-1, 1]))
 
     def test_blocks_symmetric(self):
@@ -70,14 +72,14 @@ class TestPropagate:
     def test_identity_stays_identity(self):
         chain = build_chain(2.0, 4)
         st = init_impurity_site(GENERIC)
-        eye = {s: np.eye(b.kept) for s, b in st.blocks.items()}
+        eye = {(s, s): np.eye(b.kept) for s, b in st.blocks.items()}
         ops = OperatorBlocks(n=0, ox=dict(eye), oz=dict(eye))
         for _ in range(3):
             st = add_site(st, chain)
             st = truncate(st, 100)
             ops = propagate(ops, st)
             for s, b in st.blocks.items():
-                assert np.max(np.abs(ops.ox[s] - np.eye(b.kept))) < 1e-12
+                assert np.max(np.abs(ops.ox[(s, s)] - np.eye(b.kept))) < 1e-12
 
     def test_hermiticity_preserved_long_run(self):
         p = SpinBosonPoint(alpha=0.4, epsilon=0.1, delta_ratio=0.04)
@@ -102,8 +104,10 @@ class TestPropagate:
         chain = build_chain(2.0, 3)
         st, ops = _trajectory(GENERIC, chain, 3)
         hams, basis = sector_hamiltonians(GENERIC, chain, 3)
-        for sec, m in ops.ox.items():
+        for sec in st.blocks:
             direct = spin_flip_matrix(basis, sec)
+            # a missing block is a zero block
+            m = ops.ox.get((sec, sec), np.zeros_like(direct))
             w_prop = np.linalg.eigvalsh(m)
             w_direct = np.linalg.eigvalsh(direct)
             assert np.max(np.abs(w_prop - w_direct)) < 1e-10

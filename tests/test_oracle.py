@@ -13,6 +13,7 @@ from spinboson_nrg import (
 from spinboson_nrg.oracle import _apply_f, _apply_fdag, full_hamiltonian
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
+ZERO_FIELD = KondoParams(rho0_jperp=0.3, rho0_jpar=1.1, field=0.0)
 
 
 def _operator_matrix(apply_fn, sites, orb):
@@ -124,12 +125,14 @@ class TestHellmannFeynman:
 
 
 class TestCompareWithNRG:
-    @pytest.mark.parametrize("sites", [2, 3, 4])
+    @pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
     def test_untruncated_pass(self, sites):
+        # sites=1 is the impurity step alone; zero field runs the pinned path
         chain = build_chain(2.0, sites)
-        cmp = compare_with_nrg(GENERIC, chain, sites)
-        assert cmp.passed
-        assert cmp.max_eigenvalue_dev < 1e-9
+        for k in (GENERIC, ZERO_FIELD):
+            cmp = compare_with_nrg(k, chain, sites)
+            assert cmp.passed
+            assert cmp.max_eigenvalue_dev < 1e-9
 
     def test_field_moves_ground_sector(self):
         # strong field: the ground state carries net spin projection

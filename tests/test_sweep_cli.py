@@ -194,11 +194,19 @@ class TestCLIHelpers:
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "solver.conf"
-        path.write_text("n_kept = 64\n")
         from spinboson_nrg.cli import CLIError
 
-        with pytest.raises(CLIError, match="unknown key"):
-            read_config_file(str(path))
+        # a bad key, a malformed number and an unsupported output format all
+        # fail at read time with the offending line
+        for text, message in (
+            ("n_kept = 64\n", "unknown key"),
+            ("eta = 0.05\nn_keep = abc\n", r"solver\.conf:2: bad value for 'n_keep'"),
+            ("format = xml\n", r"solver\.conf:1: bad value for 'format'"),
+        ):
+            path.write_text(text)
+            with pytest.raises(CLIError, match=message):
+                read_config_file(str(path))
+            assert main(["point", "--alpha", "0.3", "--config", str(path)]) == 1
 
 
 class TestCLI:
