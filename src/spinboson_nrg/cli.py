@@ -14,6 +14,7 @@ from .observables import find_alpha_max
 from .params import DomainError, SpinBosonPoint
 from .sweep import (
     CONFIG_FIELDS,
+    OUTPUT_FORMATS,
     SweepSpec,
     preset,
     run_point,
@@ -29,8 +30,8 @@ EXIT_IO = 3
 
 
 def _output_format(text: str) -> str:
-    if text not in ("csv", "json"):
-        raise ValueError(f"expected csv or json, got {text!r}")
+    if text not in OUTPUT_FORMATS:
+        raise ValueError(f"expected one of {OUTPUT_FORMATS}, got {text!r}")
     return text
 
 
@@ -105,7 +106,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     p.add_argument("--output", default=None, metavar="PATH",
                    help="output file (default: stdout)")
 

@@ -12,9 +12,11 @@ the four states of a new site it diagonalizes
 with A_k a BlockOp on the old block (or its identity, never materialised) and
 B_k a site matrix.  One routine, `rotate`, takes any A (x) B into the kept
 eigenbasis: the f^dag of the newest site and the carried observables alike.
-The first step extends the bare impurity (iteration -1, energies +-h/2) by
-site 0 with the Kondo exchange; every later step adds the hopping
-xi_N (f^dag_new f_old + h.c.).
+Each step stores once where every (previous sector, site state) pair sits in
+the product basis, IterationState.layout, and the Hamiltonian assembly and
+every rotation read that map.  The first step extends the bare impurity
+(iteration -1, energies +-h/2) by site 0 with the Kondo exchange; every later
+step adds the hopping xi_N (f^dag_new f_old + h.c.).
 
 Rescaling convention: stored sector energies at iteration N >= 1 are
 Lambda^((N-1)/2) * (E - E0), with the current ground state at zero; the
@@ -38,7 +40,8 @@ import numpy as np
 
 from .chain import WilsonChain, build_chain, energy_scale
 from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, IMP_DN, IMP_UP, LOCAL_STATES, N_EL
-from .params import DomainError, KondoParams, kondo_renormalized_tunneling
+from .params import DomainError, KondoParams, kondo_to_spinboson
+from .params import renormalized_tunneling
 
 
 class EngineError(RuntimeError):
@@ -48,15 +51,6 @@ class EngineError(RuntimeError):
 class Sector(NamedTuple):
     q: int
     two_sz: int
-
-
-class Group(NamedTuple):
-    """One (parent sector x local state) slice of a product-basis sector."""
-
-    sector: Sector
-    local: int
-    offset: int
-    size: int
 
 
 @dataclass(frozen=True)
@@ -99,12 +93,19 @@ PAPER_FIDELITY = {"lam": 1.5, "n_keep": 1200}
 class SectorBlock:
     energies: np.ndarray      # ascending, iteration ground state at zero
     vectors: np.ndarray       # product basis -> eigenbasis, kept columns only
-    kept: int
+
+    @property
+    def kept(self) -> int:
+        """Number of kept states, the length of energies."""
+        return len(self.energies)
 
 
 # block-sparse operator: (to_sector, from_sector) -> matrix between the kept
 # states of the two sectors; a missing key is a zero block
 BlockOp = dict[tuple[Sector, Sector], np.ndarray]
+
+# (previous sector, new-site state) -> (product sector, its rows there)
+Layout = dict[tuple[Sector, int], tuple[Sector, slice]]
 
 # the bare impurity: one state per sector (q = 0, two_sz = +-1)
 _BARE_DN, _BARE_UP = Sector(0, IMP_DN), Sector(0, IMP_UP)
@@ -123,10 +124,8 @@ class IterationState:
     blocks: dict[Sector, SectorBlock]
     e0_accumulated: float
     ground_sector: Sector
-    config: NRGConfig | None = None
     lam: float | None = None
-    # (previous sector x new-site state) composition of each product sector
-    structure: dict[Sector, tuple[Group, ...]] | None = None
+    layout: Layout | None = None     # rows of the product basis, set by _extend
     # at zero field the spectrum is exactly symmetric under two_sz -> -two_sz
     spin_symmetric: bool = False
 
@@ -176,20 +175,19 @@ def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarra
         ) from exc
 
 
-def _pieces(structure: dict[Sector, tuple[Group, ...]], n_old_sites: int, a, b):
+def _pieces(layout: Layout, n_old_sites: int, a, b):
     """Nonzero blocks of A (x) B on a product basis over an n_old_sites block.
 
-    Yields the (sector, group) of the row and of the column block, the signed
+    Yields the (sector, rows) of the row and of the column block, the signed
     site matrix element, and the A block (None when A is the identity).
     """
-    where = {(g.sector, g.local): (t, g) for t, gs in structure.items() for g in gs}
     if a is None:
-        a = {(s, s): None for s in sorted({s for s, _ in where})}
+        a = {(s, s): None for s in sorted({s for s, _ in layout})}
     nonzero = zip(*map(list, np.nonzero(b)))
     site = [(i, j, float(b[i, j]), (N_EL[i] - N_EL[j]) % 2) for i, j in nonzero]
     for (s_to, s_from), block in a.items():
         for l_to, l_from, elem, odd in site:
-            row, col = where.get((s_to, l_to)), where.get((s_from, l_from))
+            row, col = layout.get((s_to, l_to)), layout.get((s_from, l_from))
             if row is None or col is None:
                 continue
             if odd:
@@ -205,12 +203,11 @@ def rotate(state: IterationState, a: BlockOp | None, b: np.ndarray) -> BlockOp:
     """
     out: BlockOp = {}
     blocks = state.blocks
-    pieces = _pieces(state.structure, state.n, a, b)
-    for (t_to, g_to), (t_from, g_from), elem, a_blk in pieces:
+    pieces = _pieces(state.layout, state.n, a, b)
+    for (t_to, r_to), (t_from, r_from), elem, a_blk in pieces:
         if t_to not in blocks or t_from not in blocks:
             continue
-        u_to = blocks[t_to].vectors[g_to.offset : g_to.offset + g_to.size]
-        u_from = blocks[t_from].vectors[g_from.offset : g_from.offset + g_from.size]
+        u_to, u_from = blocks[t_to].vectors[r_to], blocks[t_from].vectors[r_from]
         m = u_to.T @ u_from if a_blk is None else u_to.T @ a_blk @ u_from
         m *= elem
         key = (t_to, t_from)
@@ -230,24 +227,22 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
     unscale = energy_scale(lam, n_new) if n_new > 0 else 1.0
     scale = state.energy_unscale() / unscale
 
-    groups: dict[Sector, list[Group]] = {}
+    layout: Layout = {}
+    diag: dict[Sector, list[np.ndarray]] = {}
     for s in sorted(state.blocks):
+        e = scale * state.blocks[s].energies
         for loc in LOCAL_STATES:
-            lst = groups.setdefault(Sector(s.q + DQ[loc], s.two_sz + DTSZ[loc]), [])
-            off = lst[-1].offset + lst[-1].size if lst else 0
-            lst.append(Group(s, loc, off, state.blocks[s].kept))
-    structure = {t: tuple(lst) for t, lst in groups.items()}
+            t = Sector(s.q + DQ[loc], s.two_sz + DTSZ[loc])
+            parts = diag.setdefault(t, [])
+            off = sum(map(len, parts))
+            layout[(s, loc)] = (t, slice(off, off + len(e)))
+            parts.append(e)
+    hams = {t: np.diag(np.concatenate(parts)) for t, parts in diag.items()}
 
-    hams = {
-        t: np.diag(np.concatenate([scale * state.blocks[g.sector].energies for g in lst]))
-        for t, lst in structure.items()
-    }
     for c, a, b in terms:
         # the old block holds n_new sites
-        for (t, g_to), (_, g_from), elem, a_blk in _pieces(structure, n_new, a, b):
+        for (t, r), (_, k), elem, a_blk in _pieces(layout, n_new, a, b):
             m = (c * elem) * a_blk
-            r = slice(g_to.offset, g_to.offset + g_to.size)
-            k = slice(g_from.offset, g_from.offset + g_from.size)
             hams[t][r, k] += m
             hams[t][k, r] += m.T
 
@@ -259,20 +254,16 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
     ground = min(t for t, (w, _) in eig.items() if w[0] - shift <= 0.0)
     return IterationState(
         n=n_new,
-        blocks={
-            t: SectorBlock(energies=w - shift, vectors=v, kept=len(w))
-            for t, (w, v) in eig.items()
-        },
+        blocks={t: SectorBlock(w - shift, v) for t, (w, v) in eig.items()},
         e0_accumulated=state.e0_accumulated + unscale * shift,
         ground_sector=ground,
-        config=state.config,
         lam=lam,
-        structure=structure,
+        layout=layout,
         spin_symmetric=state.spin_symmetric,
     )
 
 
-def init_impurity_site(k: KondoParams, config: NRGConfig | None = None) -> IterationState:
+def init_impurity_site(k: KondoParams) -> IterationState:
     """Iteration 0: the bare impurity extended by site 0.
 
     The bare impurity carries the Zeeman term; the step adds the transverse
@@ -280,7 +271,7 @@ def init_impurity_site(k: KondoParams, config: NRGConfig | None = None) -> Itera
     J_par S_z s_z.  The chain kinetic energy starts at the next iteration.
     """
     blocks = {
-        s: SectorBlock(np.array([0.5 * k.field * s.two_sz]), np.eye(1), 1)
+        s: SectorBlock(np.array([0.5 * k.field * s.two_sz]), np.eye(1))
         for s in (_BARE_DN, _BARE_UP)
     }
     bare = IterationState(
@@ -288,7 +279,6 @@ def init_impurity_site(k: KondoParams, config: NRGConfig | None = None) -> Itera
         blocks=blocks,
         e0_accumulated=0.0,
         ground_sector=min(blocks, key=lambda s: blocks[s].energies[0]),
-        config=config,
         spin_symmetric=k.field == 0.0,
     )
     return _extend(
@@ -349,9 +339,7 @@ def truncate(
     for s in sorted(keep_count):
         c = keep_count[s]
         b = state.blocks[s]
-        blocks[s] = SectorBlock(
-            energies=b.energies[:c], vectors=b.vectors[:, :c], kept=c
-        )
+        blocks[s] = SectorBlock(energies=b.energies[:c], vectors=b.vectors[:, :c])
     return replace(state, blocks=blocks)
 
 
@@ -366,8 +354,6 @@ class ConvergenceReport:
     omega_final: float
     drift_sx: float
     drift_sz: float
-    sx_raw: float
-    sz_raw: float
     sx: float
     sz: float
     history: tuple[tuple[int, float, float], ...]
@@ -404,15 +390,17 @@ def _plateau_status(
 def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
     """Iterate until omega_N < eta * Delta_r and the observables plateau.
 
-    Reaching n_max without satisfying both criteria is not an error; the
-    report carries converged=False and the drift over the last window.
+    Delta_r is `renormalized_tunneling` of the spin-boson point that k maps
+    back to, and the report carries that value.  Reaching n_max without
+    satisfying both criteria is not an error; the report carries
+    converged=False and the drift over the last window.
     """
     from .observables import ground_expectation_raw, init_operator_blocks, propagate
 
     chain = build_chain(cfg.lam, cfg.n_max)
-    delta_r = kondo_renormalized_tunneling(k)
+    delta_r = renormalized_tunneling(kondo_to_spinboson(k))
 
-    state = init_impurity_site(k, config=cfg)
+    state = init_impurity_site(k)
     ops = init_operator_blocks(state)
     sx0, sz0 = ground_expectation_raw(state, ops, cfg.degeneracy_tol)
     history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
@@ -448,8 +436,6 @@ def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceRepo
         omega_final=energy_scale(cfg.lam, state.n),
         drift_sx=_drift([h[1] for h in window]),
         drift_sz=_drift([h[2] for h in window]),
-        sx_raw=sx_raw,
-        sz_raw=sz_raw,
         sx=-sx_raw,
         sz=-sz_raw,
         history=tuple(history),

@@ -45,7 +45,7 @@ class OperatorBlocks:
 
 def init_operator_blocks(state: IterationState) -> OperatorBlocks:
     """Exact matrices of O_x + O_x^dag and impurity S_z at iteration 0."""
-    if state.structure is None or state.n != 0:
+    if state.layout is None or state.n != 0:
         raise ValueError("operator blocks must be seeded from the impurity-site state")
     flip = rotate(state, S_MINUS, SITE_S_PLUS)
     return OperatorBlocks(
@@ -57,7 +57,7 @@ def init_operator_blocks(state: IterationState) -> OperatorBlocks:
 
 def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
     """Rotate O (x) 1 into the kept eigenbasis of the next iteration."""
-    if state.structure is None or state.n != ops.n + 1:
+    if state.layout is None or state.n != ops.n + 1:
         raise ValueError(
             f"cannot propagate operators tagged n={ops.n} to iteration n={state.n}"
         )
@@ -98,21 +98,21 @@ def expectation_values(
 ) -> tuple[float, float]:
     """Reported (sx, sz) in the figures' sign convention.
 
-    Refuses to read out an unconverged run unless override is set; pass the
-    run's convergence report to enforce this.
+    With the run's convergence report, returns the report's sx and sz and
+    refuses an unconverged run unless override is set; without one, reads
+    the ground state of state.
     """
-    if report is not None and not report.converged and not override:
+    if report is None:
+        sx_raw, sz_raw = ground_expectation_raw(state, ops)
+        return -sx_raw, -sz_raw
+    if not report.converged and not override:
         raise ConvergenceError(
             f"run not converged at N={report.n_m}"
             f" (scale_met={report.scale_met}, plateau_met={report.plateau_met},"
             f" drift_sx={report.drift_sx:.3g}, drift_sz={report.drift_sz:.3g});"
             " pass override=True to read out anyway"
         )
-    if report is not None and report.even_odd_averaged:
-        return report.sx, report.sz
-    tol = state.config.degeneracy_tol if state.config else 1e-10
-    sx_raw, sz_raw = ground_expectation_raw(state, ops, tol)
-    return -sx_raw, -sz_raw
+    return report.sx, report.sz
 
 
 def entanglement_entropy(sx: float, sz: float) -> tuple[float, float, float]:

@@ -261,7 +261,7 @@ def hellmann_feynman_check(
 
 def k_with_jperp(k: KondoParams, jperp_abs: float) -> KondoParams:
     """Copy of the couplings with the absolute transverse coupling replaced."""
-    return replace(k, rho0_jperp=jperp_abs / (2.0 * k.half_bandwidth))
+    return replace(k, rho0_jperp=jperp_abs / 2.0)
 
 
 @dataclass

@@ -2,9 +2,11 @@
 anisotropic Kondo model, plus analytic reference quantities.
 
 Units: the conduction band half-bandwidth D0 is the energy unit, so the flat
-density of states is rho0 = 1/2 and the bath cutoff sits at wc = 2*D0.  The
-level asymmetry is accepted as the ratio eps/Delta and converted to an
-absolute energy internally.
+density of states is rho0 = 1/2, and the bath cutoff is the constant
+OMEGA_C = 2*D0.  The Wilson chain has no other scale, so a point is fixed by
+the dimensionless alpha, eps/Delta and Delta/wc alone.  The level asymmetry
+is accepted as the ratio eps/Delta and converted to an absolute energy
+internally.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+# bath cutoff wc in D0 units
+OMEGA_C = 2.0
 
 
 class DomainError(ValueError):
@@ -25,7 +30,6 @@ class SpinBosonPoint:
     alpha: float
     epsilon: float       # eps / Delta, dimensionless
     delta_ratio: float   # Delta / wc, dimensionless
-    wc: float = 2.0      # cutoff in D0 units, fixed at twice the half-bandwidth
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -39,13 +43,11 @@ class SpinBosonPoint:
             )
         if self.epsilon < 0.0:
             raise DomainError(f"epsilon={self.epsilon} must be >= 0")
-        if self.wc <= 0.0:
-            raise DomainError("wc must be positive")
 
     @property
     def delta_abs(self) -> float:
         """Bare tunneling amplitude in D0 units."""
-        return self.delta_ratio * self.wc
+        return self.delta_ratio * OMEGA_C
 
     @property
     def epsilon_abs(self) -> float:
@@ -60,8 +62,6 @@ class KondoParams:
     rho0_jperp: float
     rho0_jpar: float
     field: float               # local Zeeman energy g*muB*h in D0 units
-    half_bandwidth: float = 1.0
-    in_longitudinal_sector: bool = True
 
     def __post_init__(self):
         if self.rho0_jpar <= 0.0:
@@ -70,19 +70,21 @@ class KondoParams:
             )
         if self.rho0_jperp <= 0.0:
             raise DomainError(f"rho0_jperp={self.rho0_jperp} must be > 0")
-        object.__setattr__(
-            self, "in_longitudinal_sector", self.rho0_jperp < abs(self.rho0_jpar)
-        )
+
+    @property
+    def in_longitudinal_sector(self) -> bool:
+        """rho0*J_perp < |rho0*J_par|, where the coupling map is controlled."""
+        return self.rho0_jperp < abs(self.rho0_jpar)
 
     @property
     def jperp(self) -> float:
         """Transverse coupling in D0 units (rho0 = 1/2 per spin)."""
-        return 2.0 * self.half_bandwidth * self.rho0_jperp
+        return 2.0 * self.rho0_jperp
 
     @property
     def jpar(self) -> float:
         """Longitudinal coupling in D0 units."""
-        return 2.0 * self.half_bandwidth * self.rho0_jpar
+        return 2.0 * self.rho0_jpar
 
 
 def map_to_kondo(p: SpinBosonPoint) -> KondoParams:
@@ -99,7 +101,6 @@ def map_to_kondo(p: SpinBosonPoint) -> KondoParams:
         rho0_jperp=p.delta_ratio,
         rho0_jpar=rho0_jpar,
         field=p.epsilon * p.delta_abs,
-        half_bandwidth=p.wc / 2.0,
     )
     if not k.in_longitudinal_sector:
         warnings.warn(
@@ -126,7 +127,6 @@ def kondo_to_spinboson(k: KondoParams) -> SpinBosonPoint:
         alpha=alpha,
         epsilon=k.field / delta_abs,
         delta_ratio=k.rho0_jperp,
-        wc=2.0 * k.half_bandwidth,
     )
 
 
@@ -138,7 +138,7 @@ def renormalized_tunneling(p: SpinBosonPoint) -> float:
     smallest positive float and a RuntimeWarning is emitted.
     """
     exponent = 1.0 / (1.0 - p.alpha)
-    dr = p.wc * p.delta_ratio ** exponent
+    dr = OMEGA_C * p.delta_ratio ** exponent
     if dr <= 0.0:
         warnings.warn(
             f"renormalized tunneling underflowed at alpha={p.alpha};"
@@ -148,13 +148,6 @@ def renormalized_tunneling(p: SpinBosonPoint) -> float:
         )
         dr = math.ulp(0.0)
     return dr
-
-
-def kondo_renormalized_tunneling(k: KondoParams) -> float:
-    """Crossover scale computed directly from Kondo couplings."""
-    alpha = alpha_from_kondo(k)
-    dr = 2.0 * k.half_bandwidth * k.rho0_jperp ** (1.0 / (1.0 - alpha))
-    return dr if dr > 0.0 else math.ulp(0.0)
 
 
 def noninteracting_reference(delta: float, epsilon: float) -> tuple[float, float]:

@@ -9,6 +9,7 @@ functions of their inputs, and sweep rows are sorted by
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import math
 import sys
@@ -26,7 +27,6 @@ from .params import (
     SpinBosonPoint,
     kondo_to_spinboson,
     map_to_kondo,
-    renormalized_tunneling,
 )
 
 CSV_HEADER = (
@@ -63,29 +63,35 @@ class ObservableRecord:
     error: str | None = None
 
 
-def run_point(p: SpinBosonPoint, cfg: NRGConfig) -> ObservableRecord:
-    """Full pipeline for one point: map, iterate, read out, entangle."""
-    k = map_to_kondo(p)
-    delta_r = renormalized_tunneling(p)
-    _, report = run(k, cfg)
-    norm = math.hypot(report.sx, report.sz)
-    p_plus, p_minus, entropy = entanglement_entropy(report.sx, report.sz)
+def _record(p: SpinBosonPoint, cfg: NRGConfig, **results) -> ObservableRecord:
+    """A record of the inputs of one point and the given results."""
     return ObservableRecord(
         alpha=p.alpha,
         eps_over_delta=p.epsilon,
         delta_ratio=p.delta_ratio,
         lam=cfg.lam,
         n_keep=cfg.n_keep,
+        sy=0.0,
+        **results,
+    )
+
+
+def run_point(p: SpinBosonPoint, cfg: NRGConfig) -> ObservableRecord:
+    """Full pipeline for one point: map, iterate, read out, entangle."""
+    _, report = run(map_to_kondo(p), cfg)
+    p_plus, p_minus, entropy = entanglement_entropy(report.sx, report.sz)
+    return _record(
+        p,
+        cfg,
         n_m=report.n_m,
         converged=report.converged,
         sx=report.sx,
         sz=report.sz,
-        sy=0.0,
-        norm=norm,
+        norm=math.hypot(report.sx, report.sz),
         entropy=entropy,
         p_plus=p_plus,
         p_minus=p_minus,
-        delta_r=delta_r,
+        delta_r=report.delta_r,
         even_odd_averaged=report.even_odd_averaged,
     )
 
@@ -114,25 +120,10 @@ def _evaluate_point(args: tuple[SpinBosonPoint, NRGConfig]) -> ObservableRecord:
     try:
         return run_point(p, cfg)
     except Exception as exc:  # failure recorded per row, sweep continues
-        nan = float("nan")
-        return ObservableRecord(
-            alpha=p.alpha,
-            eps_over_delta=p.epsilon,
-            delta_ratio=p.delta_ratio,
-            lam=cfg.lam,
-            n_keep=cfg.n_keep,
-            n_m=0,
-            converged=False,
-            sx=nan,
-            sz=nan,
-            sy=0.0,
-            norm=nan,
-            entropy=nan,
-            p_plus=nan,
-            p_minus=nan,
-            delta_r=nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        results = ("sx", "sz", "norm", "entropy", "p_plus", "p_minus", "delta_r")
+        nans = dict.fromkeys(results, math.nan)
+        error = f"{type(exc).__name__}: {exc}"
+        return _record(p, cfg, n_m=0, converged=False, error=error, **nans)
 
 
 def run_sweep(
@@ -142,19 +133,14 @@ def run_sweep(
     progress=None,
 ) -> list[ObservableRecord]:
     """Evaluate every grid point; independent points may run concurrently."""
-    points = spec.points()
-    work = [(p, cfg) for p in points]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = []
-            for rec in pool.map(_evaluate_point, work):
-                records.append(rec)
-                if progress:
-                    progress(rec)
-    else:
-        records = []
-        for item in work:
-            rec = _evaluate_point(item)
+    work = [(p, cfg) for p in spec.points()]
+    records = []
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+            mapper = stack.enter_context(pool).map
+        for rec in mapper(_evaluate_point, work):
             records.append(rec)
             if progress:
                 progress(rec)
@@ -207,6 +193,15 @@ def _record_row(r: ObservableRecord) -> dict:
 
 _CSV_FIELDS = CSV_HEADER.split(",")
 
+# floats of a record; JSON has no NaN, so a non-finite one is written as null
+_FLOAT_FIELDS = [f.name for f in fields(ObservableRecord) if f.type == "float"]
+
+OUTPUT_FORMATS = ("csv", "json")
+
+
+def _json_value(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
 
 # NRGConfig fields under their output and config-file names
 CONFIG_FIELDS = {"lambda" if f.name == "lam" else f.name: f for f in fields(NRGConfig)}
@@ -214,12 +209,14 @@ CONFIG_FIELDS = {"lambda" if f.name == "lam" else f.name: f for f in fields(NRGC
 
 def write_output(records, fmt: str, stream, cfg: NRGConfig | None = None, note=None):
     """Serialize records; CSV is header + rows, JSON adds a metadata block."""
+    if fmt not in OUTPUT_FORMATS:
+        raise DomainError(f"unsupported format {fmt!r}; choose from {OUTPUT_FORMATS}")
     if fmt == "csv":
         stream.write(CSV_HEADER + "\n")
         for r in records:
             row = _record_row(r)
             stream.write(",".join(_fmt(row[f]) for f in _CSV_FIELDS) + "\n")
-    elif fmt == "json":
+    else:
         meta = {
             "solver": "spinboson-nrg",
             "version": __version__,
@@ -227,17 +224,15 @@ def write_output(records, fmt: str, stream, cfg: NRGConfig | None = None, note=N
             "sign_convention": SIGN_CONVENTION_NOTE,
         }
         if cfg is not None:
-            meta["config"] = {k: getattr(cfg, f.name) for k, f in CONFIG_FIELDS.items()}
+            meta["config"] = {
+                k: _json_value(getattr(cfg, f.name)) for k, f in CONFIG_FIELDS.items()
+            }
         if note:
             meta["note"] = note
-        json.dump(
-            {"metadata": meta, "records": [_record_row(r) for r in records]},
-            stream,
-            indent=2,
-        )
+        rows = [{k: _json_value(v) for k, v in _record_row(r).items()} for r in records]
+        payload = {"metadata": meta, "records": rows}
+        json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
-    else:
-        raise DomainError(f"unsupported format {fmt!r}")
 
 
 def write_output_path(records, fmt: str, path: str | None, cfg=None, note=None):
@@ -249,13 +244,16 @@ def write_output_path(records, fmt: str, path: str | None, cfg=None, note=None):
 
 
 def read_json_records(path: str) -> list[ObservableRecord]:
-    """Inverse of the JSON writer; floats round-trip bit-exactly."""
+    """Inverse of the JSON writer; floats round-trip bit-exactly, null as NaN."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     records = []
     for row in payload["records"]:
         row = dict(row)
         row["lam"] = row.pop("lambda")
+        for name in _FLOAT_FIELDS:
+            if row[name] is None:
+                row[name] = math.nan
         records.append(ObservableRecord(**row))
     return records
 

@@ -175,7 +175,7 @@ def test_criterion_6_hellmann_feynman_full_scale():
 
     def chain_ground_energy(kk):
         chain = build_chain(DEFAULTS.lam, n_fixed)
-        st = init_impurity_site(kk, config=DEFAULTS)
+        st = init_impurity_site(kk)
         for _ in range(n_fixed):
             st = add_site(st, chain)
             st = truncate(st, DEFAULTS.n_keep, DEFAULTS.degeneracy_tol)

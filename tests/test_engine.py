@@ -123,19 +123,20 @@ class TestFermionicSigns:
 
         worst = 0.0
         for sec, blk in st1.blocks.items():
-            groups = st1.structure[sec]
             v = blk.vectors
             h_eig = v @ np.diag(blk.energies + shift) @ v.T + st0.e0_accumulated * np.eye(len(blk.energies))
             # rotate the block factor back from the iteration-0 eigenbasis
             rot = np.zeros_like(h_eig)
             raw_index = []
-            for g in groups:
-                v0 = st0.blocks[g.sector].vectors
-                rot[g.offset : g.offset + g.size, g.offset : g.offset + g.size] = v0
+            for (s0, loc), (t, rows) in st1.layout.items():
+                if t != sec:
+                    continue
+                rot[rows, rows] = st0.blocks[s0].vectors
                 # iteration-0 basis: bare impurity state x site-0 occupation
-                for g0 in st0.structure[g.sector]:
-                    imp_bit = (1 - g0.sector.two_sz) // 2
-                    raw_index.append(imp_bit * 16 + g0.local + 4 * g.local)
+                for (bare, loc0), (t0, _) in st0.layout.items():
+                    if t0 == s0:
+                        imp_bit = (1 - bare.two_sz) // 2
+                        raw_index.append(imp_bit * 16 + loc0 + 4 * loc)
             h_raw = rot @ h_eig @ rot.T
             ref = ham_oracle[np.ix_(raw_index, raw_index)]
             worst = max(worst, float(np.max(np.abs(h_raw - ref))))
@@ -147,8 +148,8 @@ class TestTruncate:
         e_a = np.arange(14) * 0.1
         e_b = np.array([0.05, 1.45, 1.45 + 1e-14, 2.0, 2.1, 2.2])
         blocks = {
-            Sector(0, 0): SectorBlock(e_a, np.eye(14), 14),
-            Sector(1, 1): SectorBlock(e_b, np.eye(6), 6),
+            Sector(0, 0): SectorBlock(e_a, np.eye(14)),
+            Sector(1, 1): SectorBlock(e_b, np.eye(6)),
         }
         return IterationState(
             n=1,
@@ -191,7 +192,7 @@ class TestFixedPoint:
         cfg = NRGConfig()
         # deep in the strong-coupling regime: omega_N / Delta_r < 1e-5
         chain = build_chain(cfg.lam, 56)
-        st = init_impurity_site(k, config=cfg)
+        st = init_impurity_site(k)
         spectra = {}
         for n in range(1, 56):
             st = add_site(st, chain)

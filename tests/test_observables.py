@@ -160,7 +160,7 @@ class TestExpectationValues:
 
         def e0(kk):
             chain = build_chain(cfg.lam, report.n_m)
-            st = init_impurity_site(kk, config=cfg)
+            st = init_impurity_site(kk)
             for _ in range(report.n_m):
                 st = add_site(st, chain)
                 st = truncate(st, cfg.n_keep, cfg.degeneracy_tol)

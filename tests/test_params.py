@@ -13,12 +13,13 @@ from spinboson_nrg import (
     noninteracting_reference,
     renormalized_tunneling,
 )
+from spinboson_nrg.params import OMEGA_C
 
 
 class TestSpinBosonPoint:
     def test_valid_point(self):
         p = SpinBosonPoint(alpha=0.5, epsilon=0.1, delta_ratio=0.04)
-        assert p.wc == 2.0
+        assert OMEGA_C == 2.0
         assert p.delta_abs == pytest.approx(0.08)
         assert p.epsilon_abs == pytest.approx(0.008)
 
@@ -118,7 +119,7 @@ class TestRenormalizedTunneling:
 
     def test_alpha_09_power_ten(self):
         p = SpinBosonPoint(alpha=0.9, epsilon=0.0, delta_ratio=0.04)
-        assert renormalized_tunneling(p) / p.wc == pytest.approx(1.048576e-14, rel=1e-9)
+        assert renormalized_tunneling(p) / OMEGA_C == pytest.approx(1.048576e-14, rel=1e-9)
 
     def test_strictly_decreasing_in_alpha(self):
         values = [

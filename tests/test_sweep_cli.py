@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,10 @@ from spinboson_nrg import (
     NRGConfig,
     SpinBosonPoint,
     SweepSpec,
+    map_to_kondo,
     preset,
     read_json_records,
+    run,
     run_point,
     run_sweep,
     verify,
@@ -47,6 +50,10 @@ class TestRunPoint:
         assert 0.0 <= r.entropy <= 1.0
         assert r.norm <= 1.0 + 1e-8
         assert r.lam == FAST.lam and r.n_keep == FAST.n_keep
+        # the recorded delta_r is the scale the stopping rule compared against
+        p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
+        cfg = NRGConfig(n_keep=16, n_max=2)
+        assert run_point(p, cfg).delta_r == run(map_to_kondo(p), cfg)[1].delta_r
 
     def test_symmetric_point_band(self, sample_record):
         r = sample_record
@@ -149,6 +156,25 @@ class TestOutput:
         write_output_path([sample_record], "json", str(path), FAST)
         back = read_json_records(str(path))
         assert back == [sample_record]
+
+    def test_json_failed_row_is_strict(self, tmp_path, monkeypatch):
+        def boom(p, cfg):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(sweep_mod, "run_point", boom)
+        spec = SweepSpec(alpha=(0.3,), eps_over_delta=(0.0,), delta_ratio=(0.04,))
+        failed = run_sweep(spec, FAST)
+        path = tmp_path / "failed.json"
+        write_output_path(failed, "json", str(path), FAST)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        row = json.loads(path.read_text(), parse_constant=reject)["records"][0]
+        assert row["sx"] is None and row["delta_r"] is None
+        (back,) = read_json_records(str(path))
+        assert math.isnan(back.sx) and math.isnan(back.delta_r)
+        assert repr(back) == repr(failed[0])
 
     def test_json_metadata_block(self, sample_record, tmp_path):
         path = tmp_path / "records.json"
