@@ -18,6 +18,19 @@ every rotation read that map.  The first step extends the bare impurity
 (iteration -1, energies +-h/2) by site 0 with the Kondo exchange; every later
 step adds the hopping xi_N (f^dag_new f_old + h.c.).
 
+Spin flip at zero field: F flips the impurity spin and every site (up <->
+down, sign -1 on the double, see `fock.FLIP`) and commutes with H when h = 0.
+In the product basis F is a signed permutation: the rows of (s, loc) go to
+the rows of (s.flipped(), FLIP[loc]), with the site sign times, for a
+two_sz = 0 sector s, the flip parity of each kept state (SectorBlock.parity);
+a kept state of a two_sz != 0 sector maps to the state with the same index
+in the mirror sector.  With IterationState.spin_symmetric set, a step
+assembles and diagonalizes only two_sz > 0, builds each (q, -two_sz) sector
+as the same energies with vectors F V, and diagonalizes each two_sz = 0
+sector as its flip-even and flip-odd halves, merged in energy order.  Both
+relations then hold exactly at the next step, and mirror partners are
+bitwise degenerate, so truncation never separates them.
+
 Rescaling convention: stored sector energies at iteration N >= 1 are
 Lambda^((N-1)/2) * (E - E0), with the current ground state at zero; the
 iteration-0 spectrum is stored unrescaled.  The subtracted ground shifts are
@@ -39,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import WilsonChain, build_chain, energy_scale
-from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, IMP_DN, IMP_UP, LOCAL_STATES, N_EL
+from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN, IMP_DN, IMP_UP
+from .fock import LOCAL_STATES, N_EL
 from .params import DomainError, KondoParams, kondo_to_spinboson
 from .params import renormalized_tunneling
 
@@ -51,6 +65,10 @@ class EngineError(RuntimeError):
 class Sector(NamedTuple):
     q: int
     two_sz: int
+
+    def flipped(self) -> "Sector":
+        """The mirror sector under the spin flip, (q, -two_sz)."""
+        return Sector(self.q, -self.two_sz)
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,7 @@ PAPER_FIDELITY = {"lam": 1.5, "n_keep": 1200}
 class SectorBlock:
     energies: np.ndarray      # ascending, iteration ground state at zero
     vectors: np.ndarray       # product basis -> eigenbasis, kept columns only
+    parity: np.ndarray | None = None  # flip eigenvalue +-1 of each state, two_sz = 0
 
     @property
     def kept(self) -> int:
@@ -126,7 +145,8 @@ class IterationState:
     ground_sector: Sector
     lam: float | None = None
     layout: Layout | None = None     # rows of the product basis, set by _extend
-    # at zero field the spectrum is exactly symmetric under two_sz -> -two_sz
+    # zero field: the spin flip F is a symmetry, so blocks come in mirror
+    # pairs V(q, -m) = F V(q, m) and two_sz = 0 states carry their F parity
     spin_symmetric: bool = False
 
     def energy_unscale(self) -> float:
@@ -141,30 +161,6 @@ def _block_parity_sign(q: int, n_sites: int) -> float:
     return -1.0 if (q + n_sites) % 2 else 1.0
 
 
-def _symmetrize_spin_reflection(eig: dict[Sector, tuple[np.ndarray, np.ndarray]]):
-    """Pin mirrored (q, +-two_sz) spectra to their mean, in place.
-
-    At zero field the reflection two_sz -> -two_sz is exact, but its roundoff
-    violation is a relevant perturbation: the rescaling amplifies it by
-    sqrt(Lambda) per iteration until truncation splits mirror multiplets and a
-    spurious polarization appears.  Re-pinning every iteration keeps mirror
-    partners bitwise degenerate, so the truncation cut can never separate
-    them.
-    """
-    for t in sorted(eig):
-        if t.two_sz <= 0:
-            continue
-        m = Sector(t.q, -t.two_sz)
-        if m not in eig:
-            continue
-        w_t, v_t = eig[t]
-        w_m, v_m = eig[m]
-        if len(w_t) == len(w_m):
-            w_avg = 0.5 * (w_t + w_m)
-            eig[t] = (w_avg, v_t)
-            eig[m] = (w_avg, v_m)
-
-
 def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(ham)
@@ -173,6 +169,73 @@ def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarra
             f"eigensolver failed in sector (q={sector.q}, 2Sz={sector.two_sz}),"
             f" dimension {ham.shape[0]}"
         ) from exc
+
+
+def _flip_rows(
+    layout: Layout, old: dict[Sector, SectorBlock]
+) -> dict[Sector, tuple[np.ndarray, np.ndarray]]:
+    """The spin flip F on the product basis, for the sectors with two_sz >= 0.
+
+    For product sector t, F e_r = sign[r] e_dest[r], where dest[r] is a row of
+    t.flipped().  old holds the blocks of the previous iteration, whose
+    two_sz = 0 sectors carry their flip parity.
+    """
+    dims: dict[Sector, int] = {}
+    for t, rows in layout.values():
+        dims[t] = max(dims.get(t, 0), rows.stop)
+    out = {
+        t: (np.empty(n, dtype=np.intp), np.empty(n))
+        for t, n in dims.items()
+        if t.two_sz >= 0
+    }
+    for (s, loc), (t, rows) in layout.items():
+        if t.two_sz < 0:
+            continue
+        dest, sign = out[t]
+        mirror = layout[(s.flipped(), FLIP[loc])][1]
+        dest[rows] = np.arange(mirror.start, mirror.stop)
+        sign[rows] = FLIP_SIGN[loc] * (old[s].parity if s.two_sz == 0 else 1.0)
+    return out
+
+
+def _diagonalize_by_parity(
+    ham: np.ndarray, sector: Sector, dest: np.ndarray, sign: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonalize a flip-invariant sector as its flip-even and odd halves.
+
+    F pairs row r with row dest[r] (r itself for a fixed row).  The half of
+    parity p has the basis c (e_r + p sign[r] e_dest[r]) over the first row of
+    each pair (c = 1/sqrt 2) and over the fixed rows with sign p (c = 1/2, as
+    both terms land on the same row); its matrix is gathered from ham.  The
+    two spectra are merged in energy order; returns the energies, vectors
+    and parities.
+    """
+    rows = np.arange(len(dest))
+    energies, parity = [], []
+    vectors = np.zeros((len(rows), len(rows)))  # the halves span the sector
+    for p in (1.0, -1.0):
+        r = rows[(rows < dest) | ((rows == dest) & (sign == p))]
+        if not len(r):
+            continue
+        d, s = dest[r], p * sign[r]
+        c = np.where(r == d, 0.5, math.sqrt(0.5))
+        # in place where possible: fewer temporaries keep the peak memory down
+        half = ham[r]
+        half += s[:, None] * ham[d]
+        m = half[:, r]
+        m += half[:, d] * s
+        m *= c[:, None]
+        m *= c
+        w, x = _diagonalize(m, sector)
+        cols = slice(len(parity), len(parity) + len(w))
+        x *= c[:, None]
+        vectors[r, cols] = x
+        x *= s[:, None]
+        vectors[d, cols] += x
+        energies.extend(w)
+        parity.extend([p] * len(w))
+    order = np.argsort(energies, kind="stable")
+    return np.array(energies)[order], vectors[:, order], np.array(parity)[order]
 
 
 def _pieces(layout: Layout, n_old_sites: int, a, b):
@@ -195,17 +258,24 @@ def _pieces(layout: Layout, n_old_sites: int, a, b):
             yield row, col, elem, block
 
 
-def rotate(state: IterationState, a: BlockOp | None, b: np.ndarray) -> BlockOp:
+def rotate(
+    state: IterationState,
+    a: BlockOp | None,
+    b: np.ndarray,
+    to_sectors: set[Sector] | None = None,
+) -> BlockOp:
     """A (x) B in the kept eigenbasis of state.
 
     A acts on the block of the previous iteration (None for its identity) and
-    B on the newest site.
+    B on the newest site.  to_sectors, when given, limits the result to the
+    blocks whose row sector it contains.
     """
     out: BlockOp = {}
     blocks = state.blocks
+    targets = blocks if to_sectors is None else to_sectors
     pieces = _pieces(state.layout, state.n, a, b)
     for (t_to, r_to), (t_from, r_from), elem, a_blk in pieces:
-        if t_to not in blocks or t_from not in blocks:
+        if t_to not in targets or t_from not in blocks:
             continue
         u_to, u_from = blocks[t_to].vectors[r_to], blocks[t_from].vectors[r_from]
         m = u_to.T @ u_from if a_blk is None else u_to.T @ a_blk @ u_from
@@ -237,24 +307,48 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
             off = sum(map(len, parts))
             layout[(s, loc)] = (t, slice(off, off + len(e)))
             parts.append(e)
-    hams = {t: np.diag(np.concatenate(parts)) for t, parts in diag.items()}
+    # at zero field the flip supplies every two_sz < 0 sector
+    symmetric = state.spin_symmetric
+    hams = {
+        t: np.diag(np.concatenate(parts))
+        for t, parts in diag.items()
+        if t.two_sz >= 0 or not symmetric
+    }
 
     for c, a, b in terms:
         # the old block holds n_new sites
         for (t, r), (_, k), elem, a_blk in _pieces(layout, n_new, a, b):
+            if t not in hams:
+                continue
             m = (c * elem) * a_blk
             hams[t][r, k] += m
             hams[t][k, r] += m.T
 
-    eig = {t: _diagonalize(hams[t], t) for t in sorted(hams)}
-    if state.spin_symmetric:
-        _symmetrize_spin_reflection(eig)
+    flip = _flip_rows(layout, state.blocks) if symmetric else {}
+    eig = {}  # sector -> (energies, vectors, flip parities or None)
+    for t in sorted(hams):
+        if t not in flip:
+            eig[t] = (*_diagonalize(hams[t], t), None)
+        elif t.two_sz == 0:
+            eig[t] = _diagonalize_by_parity(hams[t], t, *flip[t])
+        else:
+            # the mirror sector: the same energies and the vectors F V, whose
+            # row q is sign * row source[q] of V, F taking source[q] to q
+            dest, sign = flip[t]
+            w, v = _diagonalize(hams[t], t)
+            source = np.empty_like(dest)
+            source[dest] = np.arange(len(dest))
+            mirror = v[source]
+            mirror *= sign[source, None]
+            eig[t], eig[t.flipped()] = (w, v, None), (w, mirror, None)
 
-    shift = min(w[0] for w, _ in eig.values())
-    ground = min(t for t, (w, _) in eig.items() if w[0] - shift <= 0.0)
+    shift = min(w[0] for w, _, _ in eig.values())
+    ground = min(t for t, (w, _, _) in eig.items() if w[0] - shift <= 0.0)
     return IterationState(
         n=n_new,
-        blocks={t: SectorBlock(w - shift, v) for t, (w, v) in eig.items()},
+        blocks={
+            t: SectorBlock(w - shift, v, p) for t, (w, v, p) in sorted(eig.items())
+        },
         e0_accumulated=state.e0_accumulated + unscale * shift,
         ground_sector=ground,
         lam=lam,
@@ -339,7 +433,8 @@ def truncate(
     for s in sorted(keep_count):
         c = keep_count[s]
         b = state.blocks[s]
-        blocks[s] = SectorBlock(energies=b.energies[:c], vectors=b.vectors[:, :c])
+        parity = None if b.parity is None else b.parity[:c]
+        blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], parity)
     return replace(state, blocks=blocks)
 
 

@@ -29,5 +29,11 @@ FDAG_DN[DOUBLE, UP] = -1.0
 FDAG_UP.flags.writeable = False
 FDAG_DN.flags.writeable = False
 
+# the spin flip F on one site: the image of each local state and its sign.
+# f^dag_dn f^dag_up = -f^dag_up f^dag_dn puts -1 on the double, so that
+# F f^dag_up F = f^dag_dn.
+FLIP = (EMPTY, DN, UP, DOUBLE)
+FLIP_SIGN = (1.0, 1.0, 1.0, -1.0)
+
 # impurity 2*Sz values
 IMP_UP, IMP_DN = 1, -1

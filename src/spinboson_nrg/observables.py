@@ -56,16 +56,29 @@ def init_operator_blocks(state: IterationState) -> OperatorBlocks:
 
 
 def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
-    """Rotate O (x) 1 into the kept eigenbasis of the next iteration."""
+    """Rotate O (x) 1 into the kept eigenbasis of the next iteration.
+
+    At zero field only the two_sz >= 0 blocks are rotated.  The spin flip F
+    takes each two_sz > 0 block to its mirror, and F O_x F = O_x while
+    F S_z F = -S_z, so a mirror block is the same block for ox and the
+    negated one for oz.
+    """
     if state.layout is None or state.n != ops.n + 1:
         raise ValueError(
             f"cannot propagate operators tagged n={ops.n} to iteration n={state.n}"
         )
-    return OperatorBlocks(
-        n=state.n,
-        ox=rotate(state, ops.ox, SITE_ONE),
-        oz=rotate(state, ops.oz, SITE_ONE),
-    )
+    if not state.spin_symmetric:
+        return OperatorBlocks(
+            n=state.n,
+            ox=rotate(state, ops.ox, SITE_ONE),
+            oz=rotate(state, ops.oz, SITE_ONE),
+        )
+    half = {s for s in state.blocks if s.two_sz >= 0}
+    ox = rotate(state, ops.ox, SITE_ONE, half)
+    oz = rotate(state, ops.oz, SITE_ONE, half)
+    ox.update({(s.flipped(),) * 2: m for (s, _), m in ox.items() if s.two_sz > 0})
+    oz.update({(s.flipped(),) * 2: -m for (s, _), m in oz.items() if s.two_sz > 0})
+    return OperatorBlocks(n=state.n, ox=ox, oz=oz)
 
 
 def ground_expectation_raw(

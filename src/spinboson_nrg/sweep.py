@@ -126,20 +126,52 @@ def _evaluate_point(args: tuple[SpinBosonPoint, NRGConfig]) -> ObservableRecord:
         return _record(p, cfg, n_m=0, converged=False, error=error, **nans)
 
 
+# the thread-count variables of the BLAS builds numpy ships with or links to
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _process_pool(jobs: int):
+    """A process pool whose workers run BLAS single-threaded.
+
+    The sector blocks are small, so BLAS threads in each worker only
+    oversubscribe the cores the workers already fill.  BLAS reads its thread
+    count when it loads, and a forked worker inherits the parent's, so the
+    workers are spawned while BLAS_THREAD_VARS are set to 1; the parent's
+    environment is restored when the pool closes.  If the user has set any
+    of the variables, all of them are left as they are.
+    """
+    import multiprocessing
+    import os
+
+    user_set = any(v in os.environ for v in BLAS_THREAD_VARS)
+    added = () if user_set else BLAS_THREAD_VARS
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        ctx = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=ctx) as pool:
+            yield pool
+    finally:
+        for v in added:
+            os.environ.pop(v, None)
+
+
 def run_sweep(
     spec: SweepSpec,
     cfg: NRGConfig,
     jobs: int = 1,
     progress=None,
 ) -> list[ObservableRecord]:
-    """Evaluate every grid point; independent points may run concurrently."""
+    """Evaluate every grid point; with jobs > 1, points run in a process pool.
+
+    Pool workers run BLAS single-threaded (see `_process_pool`).
+    """
     work = [(p, cfg) for p in spec.points()]
     records = []
     with contextlib.ExitStack() as stack:
         mapper = map
         if jobs > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-            mapper = stack.enter_context(pool).map
+            mapper = stack.enter_context(_process_pool(jobs)).map
         for rec in mapper(_evaluate_point, work):
             records.append(rec)
             if progress:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from spinboson_nrg import (
     energy_scale,
     exact_ground,
     init_impurity_site,
+    init_operator_blocks,
     map_to_kondo,
+    propagate,
     renormalized_tunneling,
     run,
     truncate,
 )
-from spinboson_nrg.engine import _plateau_status
+import spinboson_nrg.engine as engine_mod
+from spinboson_nrg.engine import SITE_ONE, _plateau_status, rotate
 from spinboson_nrg.oracle import full_hamiltonian
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
@@ -248,3 +252,92 @@ class TestPlateauDetection:
     def test_drifting_history_rejected(self):
         hist = [(n, 0.5 + 0.01 * n, 0.0) for n in range(12)]
         assert _plateau_status(hist, 4, 1e-6) == (False, False)
+
+
+ZERO_FIELD = map_to_kondo(SpinBosonPoint(alpha=0.4, epsilon=0.0, delta_ratio=0.04))
+
+
+def _zero_field_steps(n_steps, n_keep=120, lam=2.0):
+    """(state before the step, untruncated state after it) at zero field."""
+    chain = build_chain(lam, n_steps + 1)
+    st = init_impurity_site(ZERO_FIELD)
+    steps = []
+    for _ in range(n_steps):
+        new = add_site(st, chain)
+        steps.append((st, new))
+        st = truncate(new, n_keep)
+    return steps
+
+
+class TestSpinFlip:
+    def test_only_nonnegative_sectors_are_diagonalized(self, monkeypatch):
+        calls = []
+        diagonalize = engine_mod._diagonalize
+
+        def recording(ham, sector):
+            calls.append((sector, ham.shape[0]))
+            return diagonalize(ham, sector)
+
+        monkeypatch.setattr(engine_mod, "_diagonalize", recording)
+        chain = build_chain(2.0, 8)
+        st = init_impurity_site(ZERO_FIELD)
+        assert st.spin_symmetric
+        for _ in range(8):
+            calls.clear()
+            new = add_site(st, chain)
+            assert all(s.two_sz >= 0 for s, _ in calls)
+            for t, blk in new.blocks.items():
+                dims = [d for s, d in calls if s == t]
+                if t.two_sz == 0:
+                    # the flip-even and flip-odd halves
+                    assert len(dims) == 2
+                    assert sum(dims) == blk.vectors.shape[0]
+                else:
+                    assert dims == ([blk.vectors.shape[0]] if t.two_sz > 0 else [])
+            st = truncate(new, 120)
+
+    def test_mirror_sectors_and_parity_are_exact(self):
+        for old, new in _zero_field_steps(10):
+            flip = engine_mod._flip_rows(new.layout, old.blocks)
+            for t, blk in new.blocks.items():
+                if t.two_sz < 0:
+                    continue
+                dest, sign = flip[t]
+                if t.two_sz > 0:
+                    mirror = new.blocks[t.flipped()]
+                    assert np.array_equal(mirror.energies, blk.energies)
+                    flipped = sign[:, None] * blk.vectors
+                    assert np.array_equal(mirror.vectors[dest], flipped)
+                    continue
+                f = np.zeros((len(dest), len(dest)))
+                f[dest, np.arange(len(dest))] = sign
+                v = blk.vectors
+                assert np.allclose(v.T @ f @ v, np.diag(blk.parity), rtol=0, atol=1e-12)
+                assert set(np.unique(blk.parity)) <= {-1.0, 1.0}
+
+    def test_kept_energies_match_general_path(self):
+        chain = build_chain(2.0, 13)
+        sym = init_impurity_site(ZERO_FIELD)
+        gen = replace(sym, spin_symmetric=False)
+        for _ in range(12):
+            sym = truncate(add_site(sym, chain), 150)
+            gen = truncate(add_site(gen, chain), 150)
+            assert not gen.spin_symmetric
+            assert sym.blocks.keys() == gen.blocks.keys()
+            for t in sym.blocks:
+                np.testing.assert_allclose(
+                    sym.blocks[t].energies, gen.blocks[t].energies, rtol=0, atol=1e-10
+                )
+
+    def test_mirrored_observables_match_full_rotation(self):
+        chain = build_chain(2.0, 9)
+        st = init_impurity_site(ZERO_FIELD)
+        ops = init_operator_blocks(st)
+        for _ in range(8):
+            st = truncate(add_site(st, chain), 120)
+            full = [rotate(st, op, SITE_ONE) for op in (ops.ox, ops.oz)]
+            ops = propagate(ops, st)
+            for op, ref in zip((ops.ox, ops.oz), full):
+                assert op.keys() == ref.keys()
+                for key in ref:
+                    np.testing.assert_allclose(op[key], ref[key], rtol=0, atol=1e-12)

@@ -107,6 +107,51 @@ class TestRunSweep:
         assert not failed[0].converged
 
 
+def _blas_threads_probe(_):
+    """A pool worker's BLAS thread variables and the live OpenBLAS count.
+
+    The count is read from the OpenBLAS that numpy wheels bundle; it is None
+    where that library is not found.
+    """
+    import ctypes
+    import glob
+
+    settings = tuple(os.getenv(v) for v in sweep_mod.BLAS_THREAD_VARS)
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get_num_threads = getattr(lib, name)
+                get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+                return settings, get_num_threads()
+    return settings, None
+
+
+class TestThreadPolicy:
+    def test_pool_workers_run_blas_single_threaded(self, monkeypatch):
+        for v in sweep_mod.BLAS_THREAD_VARS:
+            monkeypatch.delenv(v, raising=False)
+        with sweep_mod._process_pool(2) as pool:
+            reports = list(pool.map(_blas_threads_probe, range(2)))
+        for settings, count in reports:
+            assert settings == ("1",) * len(sweep_mod.BLAS_THREAD_VARS)
+            assert count in (None, 1)
+        # the parent's environment is restored
+        assert not any(v in os.environ for v in sweep_mod.BLAS_THREAD_VARS)
+
+    def test_user_thread_setting_is_kept(self, monkeypatch):
+        for v in sweep_mod.BLAS_THREAD_VARS:
+            monkeypatch.delenv(v, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        with sweep_mod._process_pool(1) as pool:
+            [(settings, _)] = pool.map(_blas_threads_probe, range(1))
+        expected = tuple(
+            "2" if v == "OMP_NUM_THREADS" else None for v in sweep_mod.BLAS_THREAD_VARS
+        )
+        assert settings == expected
+
+
 class TestPresets:
     def test_fig1_grid(self):
         spec = preset("fig1")
