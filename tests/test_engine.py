@@ -257,18 +257,6 @@ class TestPlateauDetection:
 ZERO_FIELD = map_to_kondo(SpinBosonPoint(alpha=0.4, epsilon=0.0, delta_ratio=0.04))
 
 
-def _zero_field_steps(n_steps, n_keep=120, lam=2.0):
-    """(state before the step, untruncated state after it) at zero field."""
-    chain = build_chain(lam, n_steps + 1)
-    st = init_impurity_site(ZERO_FIELD)
-    steps = []
-    for _ in range(n_steps):
-        new = add_site(st, chain)
-        steps.append((st, new))
-        st = truncate(new, n_keep)
-    return steps
-
-
 class TestSpinFlip:
     def test_only_nonnegative_sectors_are_diagonalized(self, monkeypatch):
         calls = []
@@ -297,7 +285,10 @@ class TestSpinFlip:
             st = truncate(new, 120)
 
     def test_mirror_sectors_and_parity_are_exact(self):
-        for old, new in _zero_field_steps(10):
+        chain = build_chain(2.0, 11)
+        old = init_impurity_site(ZERO_FIELD)
+        for _ in range(10):
+            new = add_site(old, chain)
             flip = engine_mod._flip_rows(new.layout, old.blocks)
             for t, blk in new.blocks.items():
                 if t.two_sz < 0:
@@ -314,6 +305,7 @@ class TestSpinFlip:
                 v = blk.vectors
                 assert np.allclose(v.T @ f @ v, np.diag(blk.parity), rtol=0, atol=1e-12)
                 assert set(np.unique(blk.parity)) <= {-1.0, 1.0}
+            old = truncate(new, 120)
 
     def test_kept_energies_match_general_path(self):
         chain = build_chain(2.0, 13)
