@@ -42,8 +42,10 @@ class WilsonChain:
 
 def build_chain(lam: float, n_max: int) -> WilsonChain:
     """Coefficients xi_n and hoppings t_n for n = 0 .. n_max-1."""
-    if lam <= 1.0:
-        raise DomainError(f"discretization parameter lambda={lam} must exceed 1")
+    if not 1.0 < lam < np.inf:
+        raise DomainError(
+            f"discretization parameter lambda={lam} must be finite and exceed 1"
+        )
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     n = np.arange(n_max, dtype=float)

@@ -7,6 +7,7 @@ failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .engine import PAPER_FIDELITY, NRGConfig
@@ -55,17 +56,20 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_axis(text: str) -> tuple[float, ...]:
     """Axis syntax: a single value, a comma list, or start:stop:step."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CLIError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise CLIError("range step must be positive")
-        count = int(round((stop - start) / step))
-        values = [round(start + i * step, 12) for i in range(count + 1)]
-        return tuple(v for v in values if v <= stop + 1e-12)
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise CLIError(f"range must be start:stop:step, got {text!r}")
+            start, stop, step = (float(p) for p in parts)
+            if step <= 0:
+                raise CLIError("range step must be positive")
+            count = int(round((stop - start) / step))
+            values = [round(start + i * step, 12) for i in range(count + 1)]
+            return tuple(v for v in values if v <= stop + 1e-12)
+        return tuple(float(p) for p in text.split(",") if p.strip())
+    except (ValueError, OverflowError) as exc:
+        raise CLIError(f"bad axis {text!r}: {exc}") from None
 
 
 def read_config_file(path: str) -> dict:
@@ -159,10 +163,10 @@ def build_config(args, file_values: dict) -> NRGConfig:
               for k, f in CONFIG_FIELDS.items() if k in file_values}
     if getattr(args, "paper_fidelity", False):
         values.update(PAPER_FIDELITY)
-    for attr in ("lam", "n_keep", "n_max", "eta"):
-        flag = getattr(args, attr, None)
+    for f in CONFIG_FIELDS.values():
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[attr] = flag
+            values[f.name] = flag
     return NRGConfig(**values)
 
 
@@ -234,16 +238,7 @@ def main(argv=None) -> int:
                 import json
 
                 with open(output, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        {
-                            "alpha_m": result.alpha_m,
-                            "entropy_max": result.entropy_max,
-                            "n_evaluations": result.n_evaluations,
-                            "evaluations": result.evaluations,
-                        },
-                        fh,
-                        indent=2,
-                    )
+                    json.dump(dataclasses.asdict(result), fh, indent=2)
             return EXIT_OK
 
         if args.command == "verify":

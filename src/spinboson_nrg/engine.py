@@ -31,11 +31,16 @@ sector as its flip-even and flip-odd halves, merged in energy order.  Both
 relations then hold exactly at the next step, and mirror partners are
 bitwise degenerate, so truncation never separates them.
 
-Rescaling convention: stored sector energies at iteration N >= 1 are
-Lambda^((N-1)/2) * (E - E0), with the current ground state at zero; the
-iteration-0 spectrum is stored unrescaled.  The subtracted ground shifts are
-accumulated unrescaled in e0_accumulated, so the absolute chain ground energy
-stays available for energy-derivative checks.
+Rescaling convention: stored sector energies at iteration N are
+(E - E0) / IterationState.unscale, with the current ground state at zero;
+unscale is omega_N = Lambda^(-(N-1)/2) for N >= 1 and 1 for N <= 0, a rule
+that only `_extend` applies.  The subtracted ground shifts are accumulated
+unrescaled in e0_accumulated, so the absolute chain ground energy stays
+available for energy-derivative checks.
+
+Truncation keeps every state at or below one cut energy E_cut across all
+sectors, the n_keep-th lowest energy moved up to the next clear gap (see
+`truncate`); blocks are ascending, so each sector keeps a prefix.
 
 Fermionic signs: A (x) B means B acting after A.  A site term that changes
 the electron count anticommutes past the fermions of the block state A leads
@@ -84,16 +89,17 @@ class NRGConfig:
     plateau_window: int = 4
 
     def __post_init__(self):
-        if self.lam <= 1.0:
-            raise DomainError("lam must exceed 1")
+        if not 1.0 < self.lam < math.inf:
+            raise DomainError("lam must be finite and exceed 1")
         if self.n_keep < 16:
             raise DomainError("n_keep must be >= 16")
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
         if not 0.0 < self.eta < 1.0:
             raise DomainError("eta must lie in (0, 1)")
-        if self.plateau_tol <= 0.0 or self.degeneracy_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
+        tols = (self.plateau_tol, self.degeneracy_tol)
+        if not all(0.0 < t < math.inf for t in tols):
+            raise DomainError("tolerances must be positive and finite")
         if self.plateau_window < 2:
             raise DomainError("plateau_window must be >= 2")
 
@@ -142,18 +148,11 @@ class IterationState:
     n: int
     blocks: dict[Sector, SectorBlock]
     e0_accumulated: float
-    ground_sector: Sector
-    lam: float | None = None
+    unscale: float = 1.0             # omega_N: stored energies -> D0 units
     layout: Layout | None = None     # rows of the product basis, set by _extend
     # zero field: the spin flip F is a symmetry, so blocks come in mirror
     # pairs V(q, -m) = F V(q, m) and two_sz = 0 states carry their F parity
     spin_symmetric: bool = False
-
-    def energy_unscale(self) -> float:
-        """Factor converting stored energies back to absolute D0 units."""
-        if self.n <= 0 or self.lam is None:
-            return 1.0
-        return energy_scale(self.lam, self.n)
 
 
 def _block_parity_sign(q: int, n_sites: int) -> float:
@@ -295,7 +294,7 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
     """
     n_new = state.n + 1
     unscale = energy_scale(lam, n_new) if n_new > 0 else 1.0
-    scale = state.energy_unscale() / unscale
+    scale = state.unscale / unscale
 
     layout: Layout = {}
     diag: dict[Sector, list[np.ndarray]] = {}
@@ -343,15 +342,13 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
             eig[t], eig[t.flipped()] = (w, v, None), (w, mirror, None)
 
     shift = min(w[0] for w, _, _ in eig.values())
-    ground = min(t for t, (w, _, _) in eig.items() if w[0] - shift <= 0.0)
     return IterationState(
         n=n_new,
         blocks={
             t: SectorBlock(w - shift, v, p) for t, (w, v, p) in sorted(eig.items())
         },
         e0_accumulated=state.e0_accumulated + unscale * shift,
-        ground_sector=ground,
-        lam=lam,
+        unscale=unscale,
         layout=layout,
         spin_symmetric=state.spin_symmetric,
     )
@@ -369,11 +366,7 @@ def init_impurity_site(k: KondoParams) -> IterationState:
         for s in (_BARE_DN, _BARE_UP)
     }
     bare = IterationState(
-        n=-1,
-        blocks=blocks,
-        e0_accumulated=0.0,
-        ground_sector=min(blocks, key=lambda s: blocks[s].energies[0]),
-        spin_symmetric=k.field == 0.0,
+        n=-1, blocks=blocks, e0_accumulated=0.0, spin_symmetric=k.field == 0.0
     )
     return _extend(
         bare, [(0.5 * k.jperp, S_MINUS, SITE_S_PLUS), (0.5 * k.jpar, S_Z, SITE_S_Z)]
@@ -404,37 +397,28 @@ def truncate(
 ) -> IterationState:
     """Retain the globally lowest n_keep states across all sectors.
 
-    If the cutoff falls inside a near-degenerate multiplet (relative gap below
-    degeneracy_tol) the whole multiplet is retained, so the kept count may
-    exceed n_keep slightly.
+    The cut energy is that of the n_keep-th lowest state, moved up to the
+    first gap e[i+1] - e[i] >= degeneracy_tol * max(1, |e[i]|), so a
+    near-degenerate multiplet is never split and the kept count may exceed
+    n_keep slightly; with no such gap nothing is cut and state itself is
+    returned.  Each sector keeps its states at or below the cut, a prefix of
+    its ascending block.
     """
     if n_keep < 16:
         raise DomainError("n_keep must be >= 16")
-    entries = sorted(
-        (float(e), s, i)
-        for s in state.blocks
-        for i, e in enumerate(state.blocks[s].energies)
-    )
-    if len(entries) <= n_keep:
+    e = np.sort(np.concatenate([b.energies for b in state.blocks.values()]))
+    e = e[n_keep - 1 :]
+    gap = np.diff(e) >= degeneracy_tol * np.maximum(1.0, np.abs(e[:-1]))
+    if not gap.any():
         return state
-
-    cut = n_keep
-    while cut < len(entries):
-        e_prev, e_next = entries[cut - 1][0], entries[cut][0]
-        if e_next - e_prev >= degeneracy_tol * max(1.0, abs(e_prev)):
-            break
-        cut += 1
-
-    keep_count: dict[Sector, int] = {}
-    for _, s, _ in entries[:cut]:
-        keep_count[s] = keep_count.get(s, 0) + 1
+    e_cut = e[gap.argmax()]
 
     blocks: dict[Sector, SectorBlock] = {}
-    for s in sorted(keep_count):
-        c = keep_count[s]
-        b = state.blocks[s]
-        parity = None if b.parity is None else b.parity[:c]
-        blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], parity)
+    for s, b in state.blocks.items():
+        c = int(np.searchsorted(b.energies, e_cut, side="right"))
+        if c:
+            parity = None if b.parity is None else b.parity[:c]
+            blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], parity)
     return replace(state, blocks=blocks)
 
 

@@ -295,7 +295,6 @@ def compare_with_nrg(
             state = truncate(state, n_keep)
         ops = propagate(ops, state)
 
-    unscale = state.energy_unscale()
     max_dev = 0.0
     count = 0
     for sec in sorted(spectra):
@@ -305,7 +304,7 @@ def compare_with_nrg(
             if n_keep is None:
                 max_dev = np.inf
             continue
-        nrg_w = state.e0_accumulated + unscale * blk.energies
+        nrg_w = state.e0_accumulated + state.unscale * blk.energies
         m = min(len(exact_w), len(nrg_w))
         if n_keep is None and len(exact_w) != len(nrg_w):
             max_dev = np.inf

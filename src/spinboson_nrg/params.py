@@ -41,8 +41,8 @@ class SpinBosonPoint:
                 f"delta_ratio={self.delta_ratio} not in (0, 0.1]; the coupling"
                 " correspondence holds only to lowest order in Delta/wc"
             )
-        if self.epsilon < 0.0:
-            raise DomainError(f"epsilon={self.epsilon} must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon={self.epsilon} must be finite and >= 0")
 
     @property
     def delta_abs(self) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,12 @@ def test_invalid_lambda():
         build_chain(0.5, 10)
     with pytest.raises(DomainError):
         build_chain(2.0, 0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_rejected(lam):
+    with pytest.raises(DomainError):
+        build_chain(lam, 10)
 
 
 def test_arrays_immutable():

@@ -58,7 +58,8 @@ class TestImpuritySite:
         assert spec[0] == pytest.approx(-0.15, abs=1e-12)
         assert spec[-1] == pytest.approx(0.15, abs=1e-12)
         # ground states have the impurity spin anti-aligned with the field
-        assert st.ground_sector.two_sz < 0
+        ground = min(s for s, b in st.blocks.items() if b.energies[0] == 0.0)
+        assert ground.two_sz < 0
 
     def test_eight_states_in_sectors(self):
         st = init_impurity_site(GENERIC)
@@ -155,13 +156,7 @@ class TestTruncate:
             Sector(0, 0): SectorBlock(e_a, np.eye(14)),
             Sector(1, 1): SectorBlock(e_b, np.eye(6)),
         }
-        return IterationState(
-            n=1,
-            blocks=blocks,
-            e0_accumulated=0.0,
-            ground_sector=Sector(0, 0),
-            lam=2.0,
-        )
+        return IterationState(n=1, blocks=blocks, e0_accumulated=0.0)
 
     def test_identity_when_everything_fits(self):
         st = self._toy_state()
@@ -186,7 +181,58 @@ class TestTruncate:
             st = add_site(st, chain)
             st = truncate(st, 60)
         assert sum(b.kept for b in st.blocks.values()) <= 60 + 8
-        assert st.blocks[st.ground_sector].energies[0] == 0.0
+        assert min(b.energies[0] for b in st.blocks.values()) == 0.0
+
+    @staticmethod
+    def _tuple_sort_counts(state, n_keep, degeneracy_tol=1e-10):
+        # the reference rule: sort (energy, sector, index) over every state,
+        # move the cut past near-degenerate neighbours, count per sector
+        entries = sorted(
+            (float(e), s, i)
+            for s in state.blocks
+            for i, e in enumerate(state.blocks[s].energies)
+        )
+        cut = min(n_keep, len(entries))
+        while cut < len(entries):
+            e_prev, e_next = entries[cut - 1][0], entries[cut][0]
+            if e_next - e_prev >= degeneracy_tol * max(1.0, abs(e_prev)):
+                break
+            cut += 1
+        counts = {}
+        for _, s, _ in entries[:cut]:
+            counts[s] = counts.get(s, 0) + 1
+        return counts
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_threshold_matches_tuple_sort(self, eps):
+        # at eps = 0 mirror sectors are bitwise degenerate at every cut
+        k = map_to_kondo(SpinBosonPoint(alpha=0.4, epsilon=eps, delta_ratio=0.04))
+        chain = build_chain(2.0, 13)
+        for n_keep in (16, 60, 150):
+            st = init_impurity_site(k)
+            for _ in range(12):
+                st = add_site(st, chain)
+                out = truncate(st, n_keep)
+                assert {s: b.kept for s, b in out.blocks.items()} == (
+                    self._tuple_sort_counts(st, n_keep)
+                )
+                for s, b in out.blocks.items():
+                    full, c = st.blocks[s], b.kept
+                    assert np.array_equal(b.energies, full.energies[:c])
+                    assert np.array_equal(b.vectors, full.vectors[:, :c])
+                    if full.parity is not None:
+                        assert np.array_equal(b.parity, full.parity[:c])
+                st = out
+
+    def test_no_clear_gap_keeps_everything(self):
+        st = self._toy_state()
+        # the seven highest states lie within the tolerance of each other, so
+        # no clear gap follows rank 16
+        e_b = 1.3 + 1e-14 * np.arange(6)
+        st.blocks[Sector(1, 1)] = SectorBlock(e_b, np.eye(6))
+        everything = {s: b.kept for s, b in st.blocks.items()}
+        assert self._tuple_sort_counts(st, 16) == everything
+        assert truncate(st, 16) is st
 
 
 class TestFixedPoint:
@@ -237,6 +283,13 @@ class TestRun:
         assert report.n_m < 300
         # omega must undercut eta * Delta_r ~ 2e-16
         assert report.omega_final < 1e-2 * renormalized_tunneling(p)
+
+
+@pytest.mark.parametrize("name", ["lam", "eta", "plateau_tol", "degeneracy_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_config_rejected(name, value):
+    with pytest.raises(DomainError):
+        NRGConfig(**{name: value})
 
 
 class TestPlateauDetection:

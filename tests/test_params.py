@@ -23,12 +23,16 @@ class TestSpinBosonPoint:
         assert p.delta_abs == pytest.approx(0.08)
         assert p.epsilon_abs == pytest.approx(0.008)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 0.0, 1.0, 1.2])
+    @pytest.mark.parametrize(
+        "alpha", [-0.1, 0.0, 1.0, 1.2, math.nan, math.inf, -math.inf]
+    )
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(DomainError, match="dissipation sector"):
             SpinBosonPoint(alpha=alpha, epsilon=0.0, delta_ratio=0.04)
 
-    @pytest.mark.parametrize("ratio", [0.0, -0.01, 0.11, 0.5])
+    @pytest.mark.parametrize(
+        "ratio", [0.0, -0.01, 0.11, 0.5, math.nan, math.inf, -math.inf]
+    )
     def test_delta_ratio_out_of_range(self, ratio):
         with pytest.raises(DomainError):
             SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=ratio)
@@ -36,6 +40,11 @@ class TestSpinBosonPoint:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError):
             SpinBosonPoint(alpha=0.5, epsilon=-0.1, delta_ratio=0.04)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(DomainError, match="finite"):
+            SpinBosonPoint(alpha=0.5, epsilon=eps, delta_ratio=0.04)
 
 
 class TestKondoParams:

@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+import spinboson_nrg.cli as cli_mod
 import spinboson_nrg.engine as engine_mod
 import spinboson_nrg.sweep as sweep_mod
 from spinboson_nrg import (
+    AlphaMaxResult,
     DomainError,
     NRGConfig,
     SpinBosonPoint,
@@ -320,6 +322,20 @@ class TestCLI:
         assert main(["point", "--alpha", "1.2"]) == 1
         assert "dissipation sector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eps-over-delta", "nan"), ("--eps-over-delta", "inf"),
+         ("--lambda", "inf"), ("--lambda", "nan")],
+    )
+    def test_non_finite_input_exit_code(self, flag, value, capsys):
+        assert main(["point", "--alpha", "0.5", flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("axis", ["abc", "0.1:x:0.1", "0.1:inf:0.1"])
+    def test_non_numeric_axis_exit_code(self, axis, capsys):
+        assert main(["sweep", "--alpha", axis]) == 1
+        assert capsys.readouterr().err.startswith("error: bad axis")
+
     def test_usage_error_exit_code(self):
         assert main(["point"]) == 1  # --alpha is required
         assert main(["frobnicate"]) == 1
@@ -338,6 +354,27 @@ class TestCLI:
 
     def test_alpha_max_validation(self):
         assert main(["alpha-max", "--eps-over-delta", "-0.5"]) == 1
+
+    def test_alpha_max_output(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake(eps_over_delta, delta_ratio, cfg):
+            calls.append((eps_over_delta, delta_ratio, cfg))
+            return AlphaMaxResult(0.42, 0.9, 3, {0.3: 0.8, 0.42: 0.9, 0.5: 0.85})
+
+        monkeypatch.setattr(cli_mod, "find_alpha_max", fake)
+        out = tmp_path / "amax.json"
+        code = main(["alpha-max", "--eps-over-delta", "0.1", "--n-keep", "80",
+                     "--output", str(out)])
+        assert code == 0
+        assert calls == [(0.1, 0.04, NRGConfig(n_keep=80))]
+        # the fields of AlphaMaxResult, in order
+        assert list(json.loads(out.read_text()).items()) == [
+            ("alpha_m", 0.42),
+            ("entropy_max", 0.9),
+            ("n_evaluations", 3),
+            ("evaluations", {"0.3": 0.8, "0.42": 0.9, "0.5": 0.85}),
+        ]
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
