@@ -1,7 +1,8 @@
 """Command-line front end: point and sweep execution, presets, verification.
 
 Exit codes: 0 success, 1 domain or configuration error, 2 verification
-failure, 3 I/O error.
+failure, 3 I/O error, 4 a sweep or preset wrote rows that failed or did not
+converge.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
+EXIT_ROWS = 4
 
 
 def _output_format(text: str) -> str:
@@ -227,6 +229,15 @@ def main(argv=None) -> int:
             jobs = _resolved(args, file_values, "jobs", 1)
             records = run_sweep(spec, cfg, jobs=jobs, progress=progress)
             write_output_path(records, fmt, output, cfg, note)
+            failed = sum(r.error is not None for r in records)
+            unconverged = sum(r.error is None and not r.converged for r in records)
+            if failed or unconverged:
+                print(
+                    f"warning: of {len(records)} rows, {failed} failed and"
+                    f" {unconverged} did not converge",
+                    file=sys.stderr,
+                )
+                return EXIT_ROWS
             return EXIT_OK
 
         if args.command == "alpha-max":

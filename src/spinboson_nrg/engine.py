@@ -18,18 +18,22 @@ every rotation read that map.  The first step extends the bare impurity
 (iteration -1, energies +-h/2) by site 0 with the Kondo exchange; every later
 step adds the hopping xi_N (f^dag_new f_old + h.c.).
 
-Spin flip at zero field: F flips the impurity spin and every site (up <->
-down, sign -1 on the double, see `fock.FLIP`) and commutes with H when h = 0.
-In the product basis F is a signed permutation: the rows of (s, loc) go to
-the rows of (s.flipped(), FLIP[loc]), with the site sign times, for a
-two_sz = 0 sector s, the flip parity of each kept state (SectorBlock.parity);
-a kept state of a two_sz != 0 sector maps to the state with the same index
-in the mirror sector.  With IterationState.spin_symmetric set, a step
-assembles and diagonalizes only two_sz > 0, builds each (q, -two_sz) sector
-as the same energies with vectors F V, and diagonalizes each two_sz = 0
-sector as its flip-even and flip-odd halves, merged in energy order.  Both
-relations then hold exactly at the next step, and mirror partners are
-bitwise degenerate, so truncation never separates them.
+Z2 symmetries: each generator G in IterationState.symmetries maps the
+sector (q, two_sz) to (+-q, +-two_sz) and acts on every site as a signed
+permutation of its four states (`Z2`).  The particle-hole map P
+(`fock.PH`, (q, m) -> (-q, m)) holds at every field; the spin flip F
+(`fock.FLIP`, (q, m) -> (q, -m)) only at zero field.  A kept state j of
+sector s obeys G|j, s> = sym[j] |j, G(s)>, with sym the +-1 array the
+block stores for G, so in the product basis G is a signed permutation:
+the rows of (s, loc) go to the rows of (G(s), perm[loc]), times sym and
+the site sign.  A step diagonalizes one representative per orbit of
+sectors, the largest; a sector that generators fix is split into their
+character blocks (four at zero field for (0, 0)).  Every other sector of the
+orbit gets the same energies and the vectors G V, so orbit partners are
+bitwise degenerate and truncation never separates them.  Operators are
+rotated into the representative row sectors only, and `fill_images` gives
+the other blocks: G X G^-1 has the block sym(t1) X[t1, t2] sym(t2) at
+(G t1, G t2).  An empty table diagonalizes every sector in full.
 
 Rescaling convention: stored sector energies at iteration N are
 (E - E0) / IterationState.unscale, with the current ground state at zero;
@@ -52,13 +56,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .chain import WilsonChain, build_chain, energy_scale
 from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN, IMP_DN, IMP_UP
-from .fock import LOCAL_STATES, N_EL
+from .fock import LOCAL_STATES, N_EL, PH, PH_SIGN
 from .params import DomainError, KondoParams, kondo_to_spinboson
 from .params import renormalized_tunneling
 
@@ -71,9 +76,30 @@ class Sector(NamedTuple):
     q: int
     two_sz: int
 
-    def flipped(self) -> "Sector":
-        """The mirror sector under the spin flip, (q, -two_sz)."""
-        return Sector(self.q, -self.two_sz)
+
+class Z2(NamedTuple):
+    """A Z2 symmetry G of every iteration's Hamiltonian.
+
+    G maps the sector (q, two_sz) to (scale[0] q, scale[1] two_sz) and site
+    state loc of site n to sign[n % 2][loc] times state perm[loc]; it moves
+    the bare impurity only through the sector map.
+    """
+
+    scale: tuple[int, int]
+    perm: tuple[int, ...]
+    sign: tuple[tuple[float, ...], tuple[float, ...]]  # on even, odd sites
+
+    def sector(self, s: Sector) -> Sector:
+        return Sector(self.scale[0] * s.q, self.scale[1] * s.two_sz)
+
+
+SPIN_FLIP = Z2((1, -1), FLIP, (FLIP_SIGN, FLIP_SIGN))
+PARTICLE_HOLE = Z2((-1, 1), PH, PH_SIGN)
+
+
+def symmetries_of(k: KondoParams) -> tuple[Z2, ...]:
+    """The generators that commute with H: P always, the flip F at h = 0."""
+    return (SPIN_FLIP, PARTICLE_HOLE) if k.field == 0.0 else (PARTICLE_HOLE,)
 
 
 @dataclass(frozen=True)
@@ -117,7 +143,8 @@ PAPER_FIDELITY = {"lam": 1.5, "n_keep": 1200}
 class SectorBlock:
     energies: np.ndarray      # ascending, iteration ground state at zero
     vectors: np.ndarray       # product basis -> eigenbasis, kept columns only
-    parity: np.ndarray | None = None  # flip eigenvalue +-1 of each state, two_sz = 0
+    # per generator of the table, the +-1 of each state: G|j, s> = sym[j] |j, G(s)>
+    sym: tuple[np.ndarray, ...] = ()
 
     @property
     def kept(self) -> int:
@@ -150,9 +177,11 @@ class IterationState:
     e0_accumulated: float
     unscale: float = 1.0             # omega_N: stored energies -> D0 units
     layout: Layout | None = None     # rows of the product basis, set by _extend
-    # zero field: the spin flip F is a symmetry, so blocks come in mirror
-    # pairs V(q, -m) = F V(q, m) and two_sz = 0 states carry their F parity
-    spin_symmetric: bool = False
+    symmetries: tuple[Z2, ...] = ()  # the generators the blocks respect
+
+    def representatives(self) -> set[Sector]:
+        """The sectors that are the largest of their orbit."""
+        return set(_orbits(self.blocks, self.symmetries))
 
 
 def _block_parity_sign(q: int, n_sites: int) -> float:
@@ -170,87 +199,96 @@ def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarra
         ) from exc
 
 
-def _flip_rows(
-    layout: Layout, old: dict[Sector, SectorBlock]
-) -> dict[Sector, tuple[np.ndarray, np.ndarray]]:
-    """The spin flip F on the product basis, for the sectors with two_sz >= 0.
+def _orbits(sectors, gens: tuple[Z2, ...]) -> dict[Sector, dict[Sector, tuple]]:
+    """The orbits of sectors, keyed by their largest sector, the representative.
 
-    For product sector t, F e_r = sign[r] e_dest[r], where dest[r] is a row of
-    t.flipped().  old holds the blocks of the previous iteration, whose
-    two_sz = 0 sectors carry their flip parity.
+    Each orbit maps its sectors to (i, parent): generator i takes the parent
+    sector to it ((None, None) for the representative).
     """
-    dims: dict[Sector, int] = {}
-    for t, rows in layout.values():
-        dims[t] = max(dims.get(t, 0), rows.stop)
-    out = {
-        t: (np.empty(n, dtype=np.intp), np.empty(n))
-        for t, n in dims.items()
-        if t.two_sz >= 0
-    }
-    for (s, loc), (t, rows) in layout.items():
-        if t.two_sz < 0:
+    orbits: dict[Sector, dict[Sector, tuple]] = {}
+    seen: set[Sector] = set()
+    for t in sorted(sectors, reverse=True):
+        if t in seen:
             continue
-        dest, sign = out[t]
-        mirror = layout[(s.flipped(), FLIP[loc])][1]
-        dest[rows] = np.arange(mirror.start, mirror.stop)
-        sign[rows] = FLIP_SIGN[loc] * (old[s].parity if s.two_sz == 0 else 1.0)
-    return out
+        orbit = {t: (None, None)}
+        for i, g in enumerate(gens):
+            for u in list(orbit):
+                orbit.setdefault(g.sector(u), (i, u))
+        orbits[t] = orbit
+        seen.update(orbit)
+    return orbits
 
 
-def _diagonalize_by_parity(
-    ham: np.ndarray, sector: Sector, dest: np.ndarray, sign: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonalize a flip-invariant sector as its flip-even and odd halves.
+@lru_cache
+def _character_table(k: int) -> np.ndarray:
+    """chi(h) for the characters (rows) and the products h (columns) of k
+    commuting generators: bit j of an index marks generator j, and a
+    character that is -1 on generator j has bit j set."""
+    n = 1 << k
+    signs = [[(-1.0) ** bin(c & h).count("1") for h in range(n)] for c in range(n)]
+    table = np.array(signs)
+    table.flags.writeable = False  # shared by every caller
+    return table
 
-    F pairs row r with row dest[r] (r itself for a fixed row).  The half of
-    parity p has the basis c (e_r + p sign[r] e_dest[r]) over the first row of
-    each pair (c = 1/sqrt 2) and over the fixed rows with sign p (c = 1/2, as
-    both terms land on the same row); its matrix is gathered from ham.  The
-    two spectra are merged in energy order; returns the energies, vectors
-    and parities.
+
+def _diagonalize_by_characters(ham: np.ndarray, sector: Sector, acts):
+    """Diagonalize a sector fixed by commuting generators, one character at a time.
+
+    acts holds each generator on the rows as (dest, sign), an involution:
+    G e_r = sign[r] e_dest[r].  Every product h of them is such a signed
+    permutation.  For a character chi, the block's basis is the normalized
+    projection P e_a = sum_h chi(h) h e_a / |group| of each leader row a (the
+    lowest of its orbit under the products), where it is nonzero.  As P
+    commutes with ham, the matrix element <P e_a|ham|P e_b> is <e_a|ham P|e_b>,
+    gathered from the leader rows of ham.  Returns the energies, the vectors,
+    and per generator the character of each state, all in energy order.
     """
-    rows = np.arange(len(dest))
-    energies, parity = [], []
-    vectors = np.zeros((len(rows), len(rows)))  # the halves span the sector
-    for p in (1.0, -1.0):
-        r = rows[(rows < dest) | ((rows == dest) & (sign == p))]
-        if not len(r):
-            continue
-        d, s = dest[r], p * sign[r]
-        c = np.where(r == d, 0.5, math.sqrt(0.5))
-        # in place where possible: fewer temporaries keep the peak memory down
-        half = ham[r]
-        half += s[:, None] * ham[d]
-        m = half[:, r]
-        m += half[:, d] * s
-        m *= c[:, None]
-        m *= c
-        w, x = _diagonalize(m, sector)
-        cols = slice(len(parity), len(parity) + len(w))
-        x *= c[:, None]
-        vectors[r, cols] = x
-        x *= s[:, None]
-        vectors[d, cols] += x
-        energies.extend(w)
-        parity.extend([p] * len(w))
+    d = len(ham)
+    # product h of the generators whose bits are set in its index
+    dests, signs = np.arange(d)[None], np.ones((1, d))
+    for dest, sign in acts:
+        dests, signs = (
+            np.vstack([dests, dest[dests]]), np.vstack([signs, sign[dests] * signs])
+        )
+    leaders = np.flatnonzero(dests.min(axis=0) == np.arange(d))
+    dests, signs = dests[:, leaders], signs[:, leaders]
+    table = _character_table(len(acts))
+    # |P e_a|^2 |group|: chi(h) sign summed over the h that fix a
+    weights = table @ (signs * (dests == leaders))
+    chars, lead = np.nonzero(weights > 0)  # a column per (character, leader)
+    norm = 1.0 / np.sqrt(len(table) * weights[chars, lead])
+    coef = table[chars].T * signs[:, lead] * norm  # P e_a / |P e_a|, per h
+    rows = dests[:, lead]
+    first = ham[leaders[lead]]
+    m = first[:, rows[0]] * coef[0]
+    for h_coef, h_rows in zip(coef[1:], rows[1:]):
+        m += first[:, h_rows] * h_coef
+    m *= (len(table) * norm)[:, None]  # only its blocks within a character count
+    energies, vectors = np.empty(d), np.zeros((d, d))
+    bounds = np.searchsorted(chars, np.arange(len(table) + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            energies[lo:hi], x = _diagonalize(m[lo:hi, lo:hi], sector)
+            for h_coef, h_rows in zip(coef[:, lo:hi], rows[:, lo:hi]):
+                vectors[h_rows, lo:hi] += h_coef[:, None] * x
     order = np.argsort(energies, kind="stable")
-    return np.array(energies)[order], vectors[:, order], np.array(parity)[order]
+    generators = [1 << j for j in range(len(acts))]
+    return energies[order], vectors[:, order], table[chars[order]][:, generators].T
 
 
-def _pieces(layout: Layout, n_old_sites: int, a, b):
+def _pieces(layout: Layout, n_old_sites: int, a, b, row_sectors):
     """Nonzero blocks of A (x) B on a product basis over an n_old_sites block.
 
     Yields the (sector, rows) of the row and of the column block, the signed
-    site matrix element, and the A block (None when A is the identity).
+    site matrix element, and the value a holds for the A block, for the row
+    sectors in row_sectors.
     """
-    if a is None:
-        a = {(s, s): None for s in sorted({s for s, _ in layout})}
     nonzero = zip(*map(list, np.nonzero(b)))
     site = [(i, j, float(b[i, j]), (N_EL[i] - N_EL[j]) % 2) for i, j in nonzero]
     for (s_to, s_from), block in a.items():
         for l_to, l_from, elem, odd in site:
             row, col = layout.get((s_to, l_to)), layout.get((s_from, l_from))
-            if row is None or col is None:
+            if row is None or col is None or row[0] not in row_sectors:
                 continue
             if odd:
                 elem *= _block_parity_sign(s_to.q, n_old_sites)
@@ -259,31 +297,164 @@ def _pieces(layout: Layout, n_old_sites: int, a, b):
 
 def rotate(
     state: IterationState,
-    a: BlockOp | None,
+    ops: tuple[BlockOp, ...] | None,
     b: np.ndarray,
     to_sectors: set[Sector] | None = None,
-) -> BlockOp:
-    """A (x) B in the kept eigenbasis of state.
+) -> list[BlockOp]:
+    """A (x) B in the kept eigenbasis of state, for each A in ops.
 
-    A acts on the block of the previous iteration (None for its identity) and
-    B on the newest site.  to_sectors, when given, limits the result to the
-    blocks whose row sector it contains.
+    The A act on the block of the previous iteration and are rotated in one
+    pass over the eigenvector slices; ops None stands for that block's
+    identity alone.  B acts on the newest site.  to_sectors, when given,
+    limits the results to the blocks whose row sector it contains.
     """
-    out: BlockOp = {}
+    if ops is None:
+        a = {(s, s): None for s in sorted({s for s, _ in state.layout})}
+    else:
+        keys = dict.fromkeys(k for op in ops for k in op)  # in a fixed order
+        a = {k: [op.get(k) for op in ops] for k in keys}
+    out: list[BlockOp] = [{} for _ in ops or (None,)]
     blocks = state.blocks
     targets = blocks if to_sectors is None else to_sectors
-    pieces = _pieces(state.layout, state.n, a, b)
-    for (t_to, r_to), (t_from, r_from), elem, a_blk in pieces:
-        if t_to not in targets or t_from not in blocks:
+    pieces = _pieces(state.layout, state.n, a, b, targets)
+    for (t_to, r_to), (t_from, r_from), elem, a_blks in pieces:
+        if t_from not in blocks:
             continue
         u_to, u_from = blocks[t_to].vectors[r_to], blocks[t_from].vectors[r_from]
-        m = u_to.T @ u_from if a_blk is None else u_to.T @ a_blk @ u_from
-        m *= elem
-        key = (t_to, t_from)
-        if key in out:
-            out[key] += m
+        if a_blks is None:
+            products = [u_to.T @ u_from]
         else:
-            out[key] = m
+            products = [None if m is None else u_to.T @ m @ u_from for m in a_blks]
+        key = (t_to, t_from)
+        for o, m in zip(out, products):
+            if m is None:
+                continue
+            m *= elem
+            if key in o:
+                o[key] += m
+            else:
+                o[key] = m
+    return out
+
+
+def fill_images(state: IterationState, ops: list[BlockOp], conj) -> None:
+    """Add to ops, in place, the blocks whose row sector is not a representative.
+
+    ops hold at least the blocks with representative row sectors; conj[i][k]
+    = (c, k2, transposed) says that generator i of the table takes ops[k] to
+    c ops[k2], or to c ops[k2]^T.  G X G^-1 has the block
+    sym(t1) X[t1, t2] sym(t2) at (G t1, G t2).  The generators act in table
+    order on the blocks known before each: after F every row sector with
+    q >= 0 is known, and P then gives the rest, as it exchanges row and
+    column sectors for f^dag.
+    """
+    for i, g in enumerate(state.symmetries):
+        image = {t: g.sector(t) for t in state.blocks}
+        known = [list(op.items()) for op in ops]
+        for (c, k2, transposed), items in zip(conj[i], known):
+            target = ops[k2]
+            for (t1, t2), m in items:
+                key = (image[t1], image[t2])
+                key = key[::-1] if transposed else key
+                if key in target:
+                    continue
+                img = m * state.blocks[t1].sym[i][:, None]
+                img *= c * state.blocks[t2].sym[i]
+                target[key] = img.T if transposed else img
+
+
+@lru_cache
+def _fdag_conjugation(g: Z2, parity: int) -> tuple[tuple[float, int, bool], ...]:
+    """G f^dag_sigma G^-1 on a site of the given parity, per spin sigma, as
+    (c, spin, transposed): c times f^dag_spin or its transpose."""
+    site = np.zeros((4, 4))
+    site[list(g.perm), list(LOCAL_STATES)] = g.sign[parity]
+    fdag = (FDAG_UP, FDAG_DN)
+    return tuple(
+        next(
+            (c, k, tr)
+            for k, f in enumerate(fdag)
+            for tr in (False, True)
+            for c in (1.0, -1.0)
+            if np.array_equal(site @ op @ site.T, c * (f.T if tr else f))
+        )
+        for op in fdag
+    )
+
+
+class _Action:
+    """The generators of a step's table on its product basis.
+
+    A row is (old sector s, site state loc, kept index j); generator i sends
+    it to (G_i(s), perm[loc], j) with the sign sym_i(s)[j] times the site sign.
+    The rows of one (s, loc) pair form an entry of their product sector.
+    """
+
+    def __init__(self, gens, old, layout: Layout, entries, n_site: int):
+        self.gens, self.old, self.layout, self.entries = gens, old, layout, entries
+        self.site_sign = [g.sign[n_site % 2] for g in gens]
+        self.moved = [{s: g.sector(s) for s in old} for g in gens]
+
+    def rows(self, i: int, t: Sector):
+        """Per entry of t: its rows, their images in G_i(t), and the sign."""
+        perm, moved, sign = self.gens[i].perm, self.moved[i], self.site_sign[i]
+        return [
+            (rows, self.layout[moved[s], perm[loc]][1], sign[loc] * self.old[s].sym[i])
+            for s, loc, rows in self.entries[t]
+        ]
+
+    def permutation(self, i: int, t: Sector) -> tuple[np.ndarray, np.ndarray]:
+        """Generator i as (dest, sign) on the rows of t: G e_r = sign[r] e_dest[r]."""
+        d = self.entries[t][-1][2].stop
+        dest, signs = np.empty(d, dtype=np.intp), np.empty(d)
+        for rows, image, sign in self.rows(i, t):
+            dest[rows], signs[rows] = np.arange(image.start, image.stop), sign
+        return dest, signs
+
+    def sign(self, word: tuple[int, ...], t: Sector) -> float:
+        """The sign that the generators of word, in order, give t's first row."""
+        (s, loc, _), sign = self.entries[t][0], 1.0
+        for i in word:
+            sign *= self.old[s].sym[i][0] * self.site_sign[i][loc]
+            s, loc = self.moved[i][s], self.gens[i].perm[loc]
+        return sign
+
+
+def _diagonalize_orbit(ham: np.ndarray, r: Sector, orbit, action: _Action):
+    """Energies, vectors and sym of every sector of r's orbit, from ham on r."""
+    gens = action.gens
+    fixed = [i for i, g in enumerate(gens) if g.sector(r) == r]
+    chi = {}  # fixed generator -> the character of each state
+    if fixed:
+        # a fixed generator maps the rows of r onto themselves, an involution
+        perms = [action.permutation(i, r) for i in fixed]
+        w, v, chars = _diagonalize_by_characters(ham, r, perms)
+        chi = dict(zip(fixed, chars))
+    else:
+        w, v = _diagonalize(ham, r)
+    vectors, words = {r: v}, {r: ()}
+    for u, (i, parent) in orbit.items():
+        if parent is not None:  # the image G_i V of the parent's vectors
+            vectors[u], words[u] = np.empty_like(v), words[parent] + (i,)
+            for rows, image, sign in action.rows(i, parent):
+                np.multiply(vectors[parent][rows], sign[:, None], out=vectors[u][image])
+
+    ones, out = np.ones(len(w)), {}
+    for u, word in words.items():
+        sym = []
+        for i, g in enumerate(gens):
+            image_word = words[g.sector(u)]
+            if word + (i,) == image_word:  # the image was built as G_i V_u
+                sym.append(ones)
+            elif not word and not image_word:  # G_i fixes r
+                sym.append(chi[i])
+            else:
+                # with W_u the generators of word, G_i W_u = lam W_image h on
+                # the rows of r, h the product of the fixed generators in rest
+                rest = tuple(sorted(set(word) ^ {i} ^ set(image_word)))
+                lam_ = action.sign(word + (i,), r) * action.sign(rest + image_word, r)
+                sym.append(lam_ * math.prod((chi[k] for k in rest), start=ones))
+        out[u] = (w, vectors[u], tuple(sym))
     return out
 
 
@@ -295,62 +466,46 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
     n_new = state.n + 1
     unscale = energy_scale(lam, n_new) if n_new > 0 else 1.0
     scale = state.unscale / unscale
+    old = state.blocks
 
     layout: Layout = {}
-    diag: dict[Sector, list[np.ndarray]] = {}
-    for s in sorted(state.blocks):
-        e = scale * state.blocks[s].energies
+    entries: dict[Sector, list[tuple[Sector, int, slice]]] = {}
+    for s in sorted(old):
+        e = len(old[s].energies)
         for loc in LOCAL_STATES:
             t = Sector(s.q + DQ[loc], s.two_sz + DTSZ[loc])
-            parts = diag.setdefault(t, [])
-            off = sum(map(len, parts))
-            layout[(s, loc)] = (t, slice(off, off + len(e)))
-            parts.append(e)
-    # at zero field the flip supplies every two_sz < 0 sector
-    symmetric = state.spin_symmetric
+            parts = entries.setdefault(t, [])
+            off = parts[-1][2].stop if parts else 0
+            layout[(s, loc)] = (t, slice(off, off + e))
+            parts.append((s, loc, slice(off, off + e)))
+    # one representative per orbit is assembled and diagonalized
+    orbits = _orbits(entries, state.symmetries)
     hams = {
-        t: np.diag(np.concatenate(parts))
-        for t, parts in diag.items()
-        if t.two_sz >= 0 or not symmetric
+        r: np.diag(scale * np.concatenate([old[s].energies for s, _, _ in entries[r]]))
+        for r in orbits
     }
-
     for c, a, b in terms:
         # the old block holds n_new sites
-        for (t, r), (_, k), elem, a_blk in _pieces(layout, n_new, a, b):
-            if t not in hams:
-                continue
+        for (t, r), (_, k), elem, a_blk in _pieces(layout, n_new, a, b, hams):
             m = (c * elem) * a_blk
             hams[t][r, k] += m
             hams[t][k, r] += m.T
 
-    flip = _flip_rows(layout, state.blocks) if symmetric else {}
-    eig = {}  # sector -> (energies, vectors, flip parities or None)
-    for t in sorted(hams):
-        if t not in flip:
-            eig[t] = (*_diagonalize(hams[t], t), None)
-        elif t.two_sz == 0:
-            eig[t] = _diagonalize_by_parity(hams[t], t, *flip[t])
-        else:
-            # the mirror sector: the same energies and the vectors F V, whose
-            # row q is sign * row source[q] of V, F taking source[q] to q
-            dest, sign = flip[t]
-            w, v = _diagonalize(hams[t], t)
-            source = np.empty_like(dest)
-            source[dest] = np.arange(len(dest))
-            mirror = v[source]
-            mirror *= sign[source, None]
-            eig[t], eig[t.flipped()] = (w, v, None), (w, mirror, None)
+    action = _Action(state.symmetries, old, layout, entries, n_new)
+    eig = {}  # sector -> (energies, vectors, sym)
+    for r, orbit in sorted(orbits.items()):
+        eig.update(_diagonalize_orbit(hams[r], r, orbit, action))
 
     shift = min(w[0] for w, _, _ in eig.values())
     return IterationState(
         n=n_new,
         blocks={
-            t: SectorBlock(w - shift, v, p) for t, (w, v, p) in sorted(eig.items())
+            t: SectorBlock(w - shift, v, sym) for t, (w, v, sym) in sorted(eig.items())
         },
         e0_accumulated=state.e0_accumulated + unscale * shift,
         unscale=unscale,
         layout=layout,
-        spin_symmetric=state.spin_symmetric,
+        symmetries=state.symmetries,
     )
 
 
@@ -361,16 +516,31 @@ def init_impurity_site(k: KondoParams) -> IterationState:
     spin flip (J_perp/2)(S^- s^+ + h.c.) and the longitudinal Ising term
     J_par S_z s_z.  The chain kinetic energy starts at the next iteration.
     """
+    gens = symmetries_of(k)
+    # every generator maps a bare state to the bare state of its sector image
     blocks = {
-        s: SectorBlock(np.array([0.5 * k.field * s.two_sz]), np.eye(1))
+        s: SectorBlock(
+            np.array([0.5 * k.field * s.two_sz]), np.eye(1), (np.ones(1),) * len(gens)
+        )
         for s in (_BARE_DN, _BARE_UP)
     }
-    bare = IterationState(
-        n=-1, blocks=blocks, e0_accumulated=0.0, spin_symmetric=k.field == 0.0
-    )
+    bare = IterationState(n=-1, blocks=blocks, e0_accumulated=0.0, symmetries=gens)
     return _extend(
         bare, [(0.5 * k.jperp, S_MINUS, SITE_S_PLUS), (0.5 * k.jpar, S_Z, SITE_S_Z)]
     )
+
+
+def _fdag_blocks(state: IterationState) -> list[BlockOp]:
+    """f^dag_up and f^dag_dn of the newest site in the kept eigenbasis.
+
+    Both are rotated into the representative row sectors only; `fill_images`
+    gives the other blocks.
+    """
+    reps = state.representatives()
+    fdag = [rotate(state, None, f, reps)[0] for f in (FDAG_UP, FDAG_DN)]
+    conj = [_fdag_conjugation(g, state.n % 2) for g in state.symmetries]
+    fill_images(state, fdag, conj)
+    return fdag
 
 
 def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
@@ -378,17 +548,17 @@ def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
 
     Builds the rescaled Hamiltonian sqrt(Lambda) * H_N + xi_N * (hopping) on
     the kept-states x new-site product basis; f_old is the f^dag of the
-    previous newest site, rotated into the kept eigenbasis and transposed.
+    previous newest site in the kept eigenbasis (`_fdag_blocks`), transposed.
     """
     if state.n + 1 > chain.length:
         raise EngineError(
             f"chain provides {chain.length} hoppings, cannot add site {state.n + 1}"
         )
     xi = chain.coupling(state.n)
-    terms = []
-    for fdag in (FDAG_UP, FDAG_DN):
-        f_old = {(s, t): m.T for (t, s), m in rotate(state, None, fdag).items()}
-        terms.append((xi, f_old, fdag))
+    terms = [
+        (xi, {(s, t): m.T for (t, s), m in blocks.items()}, f)
+        for blocks, f in zip(_fdag_blocks(state), (FDAG_UP, FDAG_DN))
+    ]
     return _extend(state, terms, chain.lam)
 
 
@@ -417,8 +587,8 @@ def truncate(
     for s, b in state.blocks.items():
         c = int(np.searchsorted(b.energies, e_cut, side="right"))
         if c:
-            parity = None if b.parity is None else b.parity[:c]
-            blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], parity)
+            sym = tuple(x[:c] for x in b.sym)
+            blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], sym)
     return replace(state, blocks=blocks)
 
 

@@ -35,5 +35,12 @@ FDAG_DN.flags.writeable = False
 FLIP = (EMPTY, DN, UP, DOUBLE)
 FLIP_SIGN = (1.0, 1.0, 1.0, -1.0)
 
+# the particle-hole map P on site n, with s = (-1)^n: empty -> double,
+# up -> -s up, dn -> -s dn, double -> -empty.  It takes c_{n sigma} to
+# s sigma c^dag_{n, -sigma}, so the hopping, the site-0 exchange and the
+# impurity field are unchanged.  P^2 is -1 on the empty and double states.
+PH = (DOUBLE, UP, DN, EMPTY)
+PH_SIGN = ((1.0, -1.0, -1.0, -1.0), (1.0, 1.0, 1.0, -1.0))  # even, odd n
+
 # impurity 2*Sz values
 IMP_UP, IMP_DN = 1, -1

@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import BlockOp, ConvergenceReport, IterationState, NRGConfig, rotate
+from .engine import BlockOp, ConvergenceReport, IterationState, NRGConfig
+from .engine import SPIN_FLIP, fill_images, rotate
 from .engine import S_MINUS, S_Z, SITE_ONE, SITE_S_PLUS  # bare impurity and site ops
 from .params import DomainError
 
@@ -47,38 +48,33 @@ def init_operator_blocks(state: IterationState) -> OperatorBlocks:
     """Exact matrices of O_x + O_x^dag and impurity S_z at iteration 0."""
     if state.layout is None or state.n != 0:
         raise ValueError("operator blocks must be seeded from the impurity-site state")
-    flip = rotate(state, S_MINUS, SITE_S_PLUS)
+    (flip,) = rotate(state, (S_MINUS,), SITE_S_PLUS)
+    (oz,) = rotate(state, (S_Z,), SITE_ONE)
     return OperatorBlocks(
         n=0,
         ox={key: m + m.T for key, m in flip.items()},  # keys are (s, s)
-        oz=rotate(state, S_Z, SITE_ONE),
+        oz=oz,
     )
 
 
 def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
     """Rotate O (x) 1 into the kept eigenbasis of the next iteration.
 
-    At zero field only the two_sz >= 0 blocks are rotated.  The spin flip F
-    takes each two_sz > 0 block to its mirror, and F O_x F = O_x while
-    F S_z F = -S_z, so a mirror block is the same block for ox and the
-    negated one for oz.
+    Both operators are rotated in one pass, into the representative sectors
+    only; `fill_images` gives the rest.  O_x and S_z are even under the
+    particle-hole map, and F S_z F = -S_z while F O_x F = O_x.
     """
     if state.layout is None or state.n != ops.n + 1:
         raise ValueError(
             f"cannot propagate operators tagged n={ops.n} to iteration n={state.n}"
         )
-    if not state.spin_symmetric:
-        return OperatorBlocks(
-            n=state.n,
-            ox=rotate(state, ops.ox, SITE_ONE),
-            oz=rotate(state, ops.oz, SITE_ONE),
-        )
-    half = {s for s in state.blocks if s.two_sz >= 0}
-    ox = rotate(state, ops.ox, SITE_ONE, half)
-    oz = rotate(state, ops.oz, SITE_ONE, half)
-    ox.update({(s.flipped(),) * 2: m for (s, _), m in ox.items() if s.two_sz > 0})
-    oz.update({(s.flipped(),) * 2: -m for (s, _), m in oz.items() if s.two_sz > 0})
-    return OperatorBlocks(n=state.n, ox=ox, oz=oz)
+    rotated = rotate(state, (ops.ox, ops.oz), SITE_ONE, state.representatives())
+    conj = [
+        ((1.0, 0, False), (-1.0 if g == SPIN_FLIP else 1.0, 1, False))
+        for g in state.symmetries
+    ]
+    fill_images(state, rotated, conj)
+    return OperatorBlocks(n=state.n, ox=rotated[0], oz=rotated[1])
 
 
 def ground_expectation_raw(

@@ -25,7 +25,9 @@ from spinboson_nrg import (
     truncate,
 )
 import spinboson_nrg.engine as engine_mod
-from spinboson_nrg.engine import SITE_ONE, _plateau_status, rotate
+from spinboson_nrg.engine import PARTICLE_HOLE, SITE_ONE, SPIN_FLIP, _plateau_status
+from spinboson_nrg.engine import rotate
+from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, UP
 from spinboson_nrg.oracle import full_hamiltonian
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
@@ -57,9 +59,14 @@ class TestImpuritySite:
         spec = _global_spectrum(st) + st.e0_accumulated
         assert spec[0] == pytest.approx(-0.15, abs=1e-12)
         assert spec[-1] == pytest.approx(0.15, abs=1e-12)
-        # ground states have the impurity spin anti-aligned with the field
-        ground = min(s for s, b in st.blocks.items() if b.energies[0] == 0.0)
-        assert ground.two_sz < 0
+        # ground states have the impurity spin anti-aligned with the field:
+        # every sector at zero energy holds one, and each has <S_z> < 0
+        oz = init_operator_blocks(st).oz
+        ground = {s: b for s, b in st.blocks.items() if b.energies[0] == 0.0}
+        assert len(ground) == 4  # the impurity down with site 0 in any state
+        for s, b in ground.items():
+            for i in np.flatnonzero(b.energies <= 1e-12):
+                assert oz[(s, s)][i, i] == pytest.approx(-0.5, abs=1e-12)
 
     def test_eight_states_in_sectors(self):
         st = init_impurity_site(GENERIC)
@@ -220,8 +227,9 @@ class TestTruncate:
                     full, c = st.blocks[s], b.kept
                     assert np.array_equal(b.energies, full.energies[:c])
                     assert np.array_equal(b.vectors, full.vectors[:, :c])
-                    if full.parity is not None:
-                        assert np.array_equal(b.parity, full.parity[:c])
+                    assert len(b.sym) == len(full.sym)
+                    for x, y in zip(b.sym, full.sym):
+                        assert np.array_equal(x, y[:c])
                 st = out
 
     def test_no_clear_gap_keeps_everything(self):
@@ -307,11 +315,46 @@ class TestPlateauDetection:
         assert _plateau_status(hist, 4, 1e-6) == (False, False)
 
 
-ZERO_FIELD = map_to_kondo(SpinBosonPoint(alpha=0.4, epsilon=0.0, delta_ratio=0.04))
+def _alpha_04(eps):
+    return map_to_kondo(SpinBosonPoint(alpha=0.4, epsilon=eps, delta_ratio=0.04))
 
 
-class TestSpinFlip:
-    def test_only_nonnegative_sectors_are_diagonalized(self, monkeypatch):
+def _action(new, old, i, t):
+    """Generator i on the product rows, as the matrix from t to its image."""
+    g = new.symmetries[i]
+    dims = {s: b.vectors.shape[0] for s, b in new.blocks.items()}
+    m = np.zeros((dims[g.sector(t)], dims[t]))
+    for (s, loc), (sec, rows) in new.layout.items():
+        if sec == t:
+            image = new.layout[(g.sector(s), g.perm[loc])][1]
+            sign = g.sign[new.n % 2][loc] * old.blocks[s].sym[i]
+            m[np.r_[image], np.r_[rows]] = sign
+    return m
+
+
+def _oracle_action(g, sites):
+    """g in the oracle's occupation basis, the product of its site actions."""
+    code = {EMPTY: (0, 0), UP: (1, 0), DN: (0, 1), DOUBLE: (1, 1)}
+    local = {bits: loc for loc, bits in code.items()}
+    n_orb = 2 * sites
+    m = np.zeros((2 * 4**sites, 2 * 4**sites))
+    for state in range(len(m)):
+        imp, occ = state >> n_orb, state & ((1 << n_orb) - 1)
+        image, sign = 0, 1.0
+        for n in range(sites):
+            loc = local[((occ >> 2 * n) & 1, (occ >> (2 * n + 1)) & 1)]
+            up, dn = code[g.perm[loc]]
+            image |= (up << 2 * n) | (dn << (2 * n + 1))
+            sign *= g.sign[n % 2][loc]
+        if g.scale[1] < 0:
+            imp = 1 - imp
+        m[(imp << n_orb) | image, state] = sign
+    return m
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+class TestZ2Symmetry:
+    def test_only_representatives_are_diagonalized(self, eps, monkeypatch):
         calls = []
         diagonalize = engine_mod._diagonalize
 
@@ -321,68 +364,88 @@ class TestSpinFlip:
 
         monkeypatch.setattr(engine_mod, "_diagonalize", recording)
         chain = build_chain(2.0, 8)
-        st = init_impurity_site(ZERO_FIELD)
-        assert st.spin_symmetric
+        st = init_impurity_site(_alpha_04(eps))
+        expected = (SPIN_FLIP, PARTICLE_HOLE) if eps == 0.0 else (PARTICLE_HOLE,)
+        assert st.symmetries == expected
         for _ in range(8):
             calls.clear()
             new = add_site(st, chain)
-            assert all(s.two_sz >= 0 for s, _ in calls)
+            reps = new.representatives()
+            assert {s for s, _ in calls} == reps
             for t, blk in new.blocks.items():
                 dims = [d for s, d in calls if s == t]
-                if t.two_sz == 0:
-                    # the flip-even and flip-odd halves
-                    assert len(dims) == 2
-                    assert sum(dims) == blk.vectors.shape[0]
-                else:
-                    assert dims == ([blk.vectors.shape[0]] if t.two_sz > 0 else [])
+                if t not in reps:
+                    assert dims == []
+                    continue
+                # one block per character of the generators that fix t
+                fixed = [g for g in new.symmetries if g.sector(t) == t]
+                assert sum(dims) == blk.vectors.shape[0]
+                assert len(dims) <= 2 ** len(fixed)
+            if Sector(0, 0) in new.blocks:  # on every other iteration
+                # fixed by P, and at zero field by F too
+                split = len([s for s, _ in calls if s == Sector(0, 0)])
+                assert split == (4 if eps == 0.0 else 2)
             st = truncate(new, 120)
 
-    def test_mirror_sectors_and_parity_are_exact(self):
+    def test_images_and_characters_are_exact(self, eps):
         chain = build_chain(2.0, 11)
-        old = init_impurity_site(ZERO_FIELD)
+        old = init_impurity_site(_alpha_04(eps))
         for _ in range(10):
             new = add_site(old, chain)
-            flip = engine_mod._flip_rows(new.layout, old.blocks)
             for t, blk in new.blocks.items():
-                if t.two_sz < 0:
-                    continue
-                dest, sign = flip[t]
-                if t.two_sz > 0:
-                    mirror = new.blocks[t.flipped()]
-                    assert np.array_equal(mirror.energies, blk.energies)
-                    flipped = sign[:, None] * blk.vectors
-                    assert np.array_equal(mirror.vectors[dest], flipped)
-                    continue
-                f = np.zeros((len(dest), len(dest)))
-                f[dest, np.arange(len(dest))] = sign
-                v = blk.vectors
-                assert np.allclose(v.T @ f @ v, np.diag(blk.parity), rtol=0, atol=1e-12)
-                assert set(np.unique(blk.parity)) <= {-1.0, 1.0}
+                for i, g in enumerate(new.symmetries):
+                    u = g.sector(t)
+                    image, sym = new.blocks[u], blk.sym[i]
+                    assert set(np.unique(sym)) <= {-1.0, 1.0}
+                    assert np.array_equal(image.energies, blk.energies)
+                    gv = _action(new, old, i, t) @ blk.vectors
+                    if u == t:
+                        # the characters of a fixed sector
+                        np.testing.assert_allclose(
+                            blk.vectors.T @ gv, np.diag(sym), rtol=0, atol=1e-12
+                        )
+                    else:
+                        assert np.array_equal(gv, image.vectors * sym)
             old = truncate(new, 120)
 
-    def test_kept_energies_match_general_path(self):
+    def test_kept_energies_match_unsymmetrized_path(self, eps):
         chain = build_chain(2.0, 13)
-        sym = init_impurity_site(ZERO_FIELD)
-        gen = replace(sym, spin_symmetric=False)
+        sym = init_impurity_site(_alpha_04(eps))
+        ref = replace(sym, symmetries=())
         for _ in range(12):
             sym = truncate(add_site(sym, chain), 150)
-            gen = truncate(add_site(gen, chain), 150)
-            assert not gen.spin_symmetric
-            assert sym.blocks.keys() == gen.blocks.keys()
+            ref = truncate(add_site(ref, chain), 150)
+            assert ref.symmetries == () and ref.representatives() == ref.blocks.keys()
+            assert sym.blocks.keys() == ref.blocks.keys()
             for t in sym.blocks:
                 np.testing.assert_allclose(
-                    sym.blocks[t].energies, gen.blocks[t].energies, rtol=0, atol=1e-10
+                    sym.blocks[t].energies, ref.blocks[t].energies, rtol=0, atol=1e-10
                 )
 
-    def test_mirrored_observables_match_full_rotation(self):
+    def test_filled_blocks_match_full_rotation(self, eps):
         chain = build_chain(2.0, 9)
-        st = init_impurity_site(ZERO_FIELD)
+        st = init_impurity_site(_alpha_04(eps))
         ops = init_operator_blocks(st)
         for _ in range(8):
             st = truncate(add_site(st, chain), 120)
-            full = [rotate(st, op, SITE_ONE) for op in (ops.ox, ops.oz)]
+            full = rotate(st, (ops.ox, ops.oz), SITE_ONE)
+            full += [rotate(st, None, f)[0] for f in (FDAG_UP, FDAG_DN)]
             ops = propagate(ops, st)
-            for op, ref in zip((ops.ox, ops.oz), full):
+            filled = [ops.ox, ops.oz, *engine_mod._fdag_blocks(st)]
+            for op, ref in zip(filled, full):
                 assert op.keys() == ref.keys()
                 for key in ref:
                     np.testing.assert_allclose(op[key], ref[key], rtol=0, atol=1e-12)
+
+    def test_particle_hole_commutes_with_oracle_hamiltonian(self, eps):
+        k = _alpha_04(eps)
+        ham, labels, _ = full_hamiltonian(k, build_chain(2.0, 3), 3)
+        for g in (PARTICLE_HOLE, SPIN_FLIP):
+            m = _oracle_action(g, 3)
+            assert np.array_equal(m @ m.T, np.eye(len(m)))
+            # the sector map: labels of the image states
+            image = np.argmax(np.abs(m), axis=0)
+            assert np.array_equal(labels[image], labels * np.array(g.scale))
+            holds = g in engine_mod.symmetries_of(k)
+            commutator = np.abs(m @ ham - ham @ m).max()
+            assert (commutator < 1e-14) if holds else (commutator > 1e-3)

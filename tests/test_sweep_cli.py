@@ -376,6 +376,34 @@ class TestCLI:
             ("evaluations", {"0.3": 0.8, "0.42": 0.9, "0.5": 0.85}),
         ]
 
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--alpha", "0.2,0.4,0.6"], ["preset", "fig1"]]
+    )
+    def test_failed_or_unconverged_rows_exit_code(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def failing(p, cfg):
+            raise RuntimeError("synthetic failure")
+
+        def fake_sweep(spec, cfg, jobs=1, progress=None):
+            # one converged row, one unconverged row and one failed row
+            a, b, c = spec.points()[:3]
+            results = dict(sx=0.5, sz=0.0, norm=0.5, entropy=0.8, p_plus=0.75,
+                           p_minus=0.25, delta_r=1e-3)
+            return [
+                sweep_mod._record(a, cfg, n_m=5, converged=True, **results),
+                sweep_mod._record(b, cfg, n_m=5, converged=False, **results),
+                sweep_mod._evaluate_point((c, cfg)),
+            ]
+
+        monkeypatch.setattr(sweep_mod, "run_point", failing)
+        monkeypatch.setattr(cli_mod, "run_sweep", fake_sweep)
+        out = tmp_path / "rows.csv"
+        assert main([*command, "--output", str(out)]) == cli_mod.EXIT_ROWS == 4
+        assert len(out.read_text().splitlines()) == 4  # every row is still written
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["warning: of 3 rows, 1 failed and 1 did not converge"]
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
         env = dict(os.environ)
