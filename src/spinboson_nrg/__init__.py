@@ -25,10 +25,8 @@ from .engine import (
 )
 from .observables import (
     AlphaMaxResult,
-    ConvergenceError,
     OperatorBlocks,
     entanglement_entropy,
-    expectation_values,
     find_alpha_max,
     ground_expectation_raw,
     init_operator_blocks,
@@ -65,7 +63,6 @@ from .sweep import (
 
 __all__ = [
     "AlphaMaxResult",
-    "ConvergenceError",
     "ConvergenceReport",
     "DomainError",
     "EngineError",
@@ -88,7 +85,6 @@ __all__ = [
     "energy_scale",
     "entanglement_entropy",
     "exact_ground",
-    "expectation_values",
     "find_alpha_max",
     "ground_expectation_raw",
     "hellmann_feynman_check",

@@ -1,14 +1,15 @@
 """Command-line front end: point and sweep execution, presets, verification.
 
 Exit codes: 0 success, 1 domain or configuration error, 2 verification
-failure, 3 I/O error, 4 a sweep or preset wrote rows that failed or did not
-converge.
+failure, 3 I/O error, 4 a point, sweep or preset wrote rows that failed or
+did not converge, or an alpha-max evaluation did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
 from .engine import PAPER_FIDELITY, NRGConfig
@@ -17,6 +18,7 @@ from .params import DomainError, SpinBosonPoint
 from .sweep import (
     CONFIG_FIELDS,
     OUTPUT_FORMATS,
+    PRESETS,
     SweepSpec,
     preset,
     run_point,
@@ -97,15 +99,16 @@ def read_config_file(path: str) -> dict:
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="discretization parameter (> 1; default 2.0)")
+                   help=f"discretization parameter (> 1; default {NRGConfig.lam})")
     p.add_argument("--n-keep", type=int, default=None,
-                   help="states kept per iteration (default 300)")
+                   help=f"states kept per iteration (default {NRGConfig.n_keep})")
     p.add_argument("--n-max", type=int, default=None,
-                   help="maximum number of iterations (default 300)")
+                   help=f"maximum number of iterations (default {NRGConfig.n_max})")
     p.add_argument("--eta", type=float, default=None,
                    help="stop factor: iterate until omega_N < eta * Delta_r")
     p.add_argument("--paper-fidelity", action="store_true",
-                   help="production settings: lambda 1.5, 1200 kept states")
+                   help="production settings: lambda {lam}, {n_keep} kept states"
+                   .format(**PAPER_FIDELITY))
     p.add_argument("--config", default=None, metavar="PATH",
                    help="key = value configuration file; flags win on conflict")
     p.add_argument("--verbose", action="store_true")
@@ -123,14 +126,8 @@ def build_parser() -> _Parser:
                                  "observables and entanglement entropy")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_point = sub.add_parser("point", help="evaluate a single parameter point")
-    p_point.add_argument("--alpha", type=float, required=True)
-    p_point.add_argument("--eps-over-delta", type=float, default=0.0)
-    p_point.add_argument("--delta-ratio", type=float, default=0.04)
-    _add_solver_flags(p_point)
-    _add_output_flags(p_point)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid")
+    p_sweep = sub.add_parser("sweep", aliases=["point"],
+                             help="evaluate a parameter point or grid")
     p_sweep.add_argument("--alpha", required=True,
                          help="value, comma list, or start:stop:step")
     p_sweep.add_argument("--eps-over-delta", default="0.0")
@@ -140,7 +137,7 @@ def build_parser() -> _Parser:
     _add_output_flags(p_sweep)
 
     p_preset = sub.add_parser("preset", help="run a predefined figure grid")
-    p_preset.add_argument("name", choices=("fig1", "fig2", "fig3"))
+    p_preset.add_argument("name", choices=sorted(PRESETS))
     p_preset.add_argument("--jobs", type=int, default=None)
     _add_solver_flags(p_preset)
     _add_output_flags(p_preset)
@@ -172,6 +169,14 @@ def build_config(args, file_values: dict) -> NRGConfig:
     return NRGConfig(**values)
 
 
+def _exit_status(bad: int, warning: str) -> int:
+    """EXIT_ROWS after warning on stderr if any result is bad, else EXIT_OK."""
+    if bad:
+        print(f"warning: {warning}", file=sys.stderr)
+        return EXIT_ROWS
+    return EXIT_OK
+
+
 def _resolved(args, file_values: dict, key: str, default):
     flag = getattr(args, key, None)
     if flag is not None:
@@ -201,56 +206,46 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
 
-        if args.command == "point":
-            point = SpinBosonPoint(
-                alpha=args.alpha,
-                epsilon=args.eps_over_delta,
-                delta_ratio=args.delta_ratio,
-            )
-            rec = run_point(point, cfg)
-            progress(rec)
-            write_output_path([rec], fmt, output, cfg)
-            return EXIT_OK
-
-        if args.command in ("sweep", "preset"):
-            if args.command == "sweep":
-                spec = SweepSpec(
-                    alpha=parse_axis(args.alpha),
-                    eps_over_delta=parse_axis(args.eps_over_delta),
-                    delta_ratio=parse_axis(args.delta_ratio),
-                )
-                note = None
-            else:
+        if args.command in ("point", "sweep", "preset"):
+            if args.command == "preset":
                 spec = preset(args.name)
                 note = (
                     f"preset {args.name}: grid values are representative"
                     " choices made by this package"
                 )
+            else:  # a point is a sweep over single values
+                axes = (args.alpha, args.eps_over_delta, args.delta_ratio)
+                spec, note = SweepSpec(*map(parse_axis, axes)), None
             jobs = _resolved(args, file_values, "jobs", 1)
             records = run_sweep(spec, cfg, jobs=jobs, progress=progress)
             write_output_path(records, fmt, output, cfg, note)
             failed = sum(r.error is not None for r in records)
             unconverged = sum(r.error is None and not r.converged for r in records)
-            if failed or unconverged:
-                print(
-                    f"warning: of {len(records)} rows, {failed} failed and"
-                    f" {unconverged} did not converge",
-                    file=sys.stderr,
-                )
-                return EXIT_ROWS
-            return EXIT_OK
+            return _exit_status(
+                failed + unconverged,
+                f"of {len(records)} rows, {failed} failed and {unconverged} did not"
+                " converge",
+            )
 
         if args.command == "alpha-max":
-            result = find_alpha_max(args.eps_over_delta, args.delta_ratio, cfg)
+            eps, ratio, records = args.eps_over_delta, args.delta_ratio, []
+
+            def evaluate(alpha: float) -> float:
+                records.append(run_point(SpinBosonPoint(alpha, eps, ratio), cfg))
+                return records[-1].entropy
+
+            result = find_alpha_max(eps, ratio, cfg, evaluate=evaluate)
             print(f"alpha_M = {result.alpha_m:.4f}")
             print(f"E(alpha_M) = {result.entropy_max:.6f} bits")
             print(f"evaluations: {result.n_evaluations}")
             if output:
-                import json
-
                 with open(output, "w", encoding="utf-8") as fh:
                     json.dump(dataclasses.asdict(result), fh, indent=2)
-            return EXIT_OK
+            unconverged = sum(not r.converged for r in records)
+            return _exit_status(
+                unconverged,
+                f"of {len(records)} evaluations, {unconverged} did not converge",
+            )
 
         if args.command == "verify":
             report = verify(cfg)

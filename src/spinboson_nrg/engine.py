@@ -46,6 +46,10 @@ Truncation keeps every state at or below one cut energy E_cut across all
 sectors, the n_keep-th lowest energy moved up to the next clear gap (see
 `truncate`); blocks are ascending, so each sector keeps a prefix.
 
+Read-out and verdict: only `run` applies the figures' sign flip to the raw
+ground-state observables and judges convergence, in its `ConvergenceReport`,
+with the fixed tolerances PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL.
+
 Fermionic signs: A (x) B means B acting after A.  A site term that changes
 the electron count anticommutes past the fermions of the block state A leads
 to; within a sector their parity is constant, so the sign is a per-block
@@ -110,9 +114,6 @@ class NRGConfig:
     n_keep: int = 300
     n_max: int = 300
     eta: float = 1e-2            # stop once omega_N < eta * Delta_r
-    plateau_tol: float = 1e-6
-    degeneracy_tol: float = 1e-10
-    plateau_window: int = 4
 
     def __post_init__(self):
         if not 1.0 < self.lam < math.inf:
@@ -123,11 +124,6 @@ class NRGConfig:
             raise DomainError("n_max must be >= 1")
         if not 0.0 < self.eta < 1.0:
             raise DomainError("eta must lie in (0, 1)")
-        tols = (self.plateau_tol, self.degeneracy_tol)
-        if not all(0.0 < t < math.inf for t in tols):
-            raise DomainError("tolerances must be positive and finite")
-        if self.plateau_window < 2:
-            raise DomainError("plateau_window must be >= 2")
 
     @classmethod
     def paper_fidelity(cls, **overrides) -> "NRGConfig":
@@ -137,6 +133,12 @@ class NRGConfig:
 
 # the production bundle behind NRGConfig.paper_fidelity and --paper-fidelity
 PAPER_FIDELITY = {"lam": 1.5, "n_keep": 1200}
+
+# the convergence test (`_plateau_status`); levels within DEGENERACY_TOL are
+# one multiplet, for the truncation cut and for the ground-state read-out
+PLATEAU_WINDOW = 4
+PLATEAU_TOL = 1e-6
+DEGENERACY_TOL = 1e-10
 
 
 @dataclass
@@ -562,13 +564,11 @@ def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
     return _extend(state, terms, chain.lam)
 
 
-def truncate(
-    state: IterationState, n_keep: int, degeneracy_tol: float = 1e-10
-) -> IterationState:
+def truncate(state: IterationState, n_keep: int) -> IterationState:
     """Retain the globally lowest n_keep states across all sectors.
 
     The cut energy is that of the n_keep-th lowest state, moved up to the
-    first gap e[i+1] - e[i] >= degeneracy_tol * max(1, |e[i]|), so a
+    first gap e[i+1] - e[i] >= DEGENERACY_TOL * max(1, |e[i]|), so a
     near-degenerate multiplet is never split and the kept count may exceed
     n_keep slightly; with no such gap nothing is cut and state itself is
     returned.  Each sector keeps its states at or below the cut, a prefix of
@@ -578,7 +578,7 @@ def truncate(
         raise DomainError("n_keep must be >= 16")
     e = np.sort(np.concatenate([b.energies for b in state.blocks.values()]))
     e = e[n_keep - 1 :]
-    gap = np.diff(e) >= degeneracy_tol * np.maximum(1.0, np.abs(e[:-1]))
+    gap = np.diff(e) >= DEGENERACY_TOL * np.maximum(1.0, np.abs(e[:-1]))
     if not gap.any():
         return state
     e_cut = e[gap.argmax()]
@@ -594,6 +594,18 @@ def truncate(
 
 @dataclass
 class ConvergenceReport:
+    """The read-out of a run and its verdict.
+
+    sx, sz: -<O_x + O_x^dag> and -2<S_z> of the ground multiplet (`run` flips
+    the raw sign), averaged over the last two iterations when even_odd_averaged,
+    the plateau of a flow alternating with the parity of n.  They are results
+    only when converged: scale_met (omega_final, omega_N at the last iteration
+    n_m, is below eta * delta_r) and plateau_met (`_plateau_status`).
+    drift_sx, drift_sz: max - min of the raw values over the last
+    PLATEAU_WINDOW iterations.  history: (n, sx_raw, sz_raw) per iteration
+    0 .. n_m, in the raw sign.
+    """
+
     n_m: int
     converged: bool
     scale_met: bool
@@ -609,30 +621,22 @@ class ConvergenceReport:
 
 
 def _drift(values: list[float]) -> float:
-    return max(values) - min(values) if values else math.inf
+    return max(values) - min(values)
 
 
-def _plateau_status(
-    history: list[tuple[int, float, float]], window: int, tol: float
-) -> tuple[bool, bool]:
-    if len(history) < window:
-        return False, False
-    recent = history[-window:]
-    if _drift([h[1] for h in recent]) < tol and _drift([h[2] for h in recent]) < tol:
+def _settled(rows: list[tuple[int, float, float]]) -> bool:
+    return all(_drift([h[c] for h in rows]) < PLATEAU_TOL for c in (1, 2))
+
+
+def _plateau_status(history: list[tuple[int, float, float]]) -> tuple[bool, bool]:
+    """(plateau_met, even_odd): both raw observables moved by less than
+    PLATEAU_TOL over the last PLATEAU_WINDOW iterations, or, for a flow that
+    alternates between even and odd n, each parity did over twice as many."""
+    if len(history) >= PLATEAU_WINDOW and _settled(history[-PLATEAU_WINDOW:]):
         return True, False
-    # even/odd alternation: accept if each parity subsequence has settled
-    if len(history) >= 2 * window:
-        tail = history[-2 * window :]
-        even = [h for h in tail if h[0] % 2 == 0]
-        odd = [h for h in tail if h[0] % 2 == 1]
-        if min(len(even), len(odd)) >= 2:
-            settled = all(
-                _drift([h[c] for h in part]) < tol
-                for part in (even, odd)
-                for c in (1, 2)
-            )
-            if settled:
-                return True, True
+    tail = history[-2 * PLATEAU_WINDOW :]  # n runs consecutively
+    if len(tail) == 2 * PLATEAU_WINDOW and _settled(tail[::2]) and _settled(tail[1::2]):
+        return True, True
     return False, False
 
 
@@ -651,30 +655,28 @@ def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceRepo
 
     state = init_impurity_site(k)
     ops = init_operator_blocks(state)
-    sx0, sz0 = ground_expectation_raw(state, ops, cfg.degeneracy_tol)
+    sx0, sz0 = ground_expectation_raw(state, ops)
     history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
 
     scale_met = plateau_met = even_odd = False
     while state.n < cfg.n_max:
         state = add_site(state, chain)
-        state = truncate(state, cfg.n_keep, cfg.degeneracy_tol)
+        state = truncate(state, cfg.n_keep)
         ops = propagate(ops, state)
-        sx_raw, sz_raw = ground_expectation_raw(state, ops, cfg.degeneracy_tol)
+        sx_raw, sz_raw = ground_expectation_raw(state, ops)
         history.append((state.n, sx_raw, sz_raw))
         scale_met = energy_scale(cfg.lam, state.n) < cfg.eta * delta_r
-        plateau_met, even_odd = _plateau_status(
-            history, cfg.plateau_window, cfg.plateau_tol
-        )
+        plateau_met, even_odd = _plateau_status(history)
         if scale_met and plateau_met:
             break
 
-    if even_odd and len(history) >= 2:
+    if even_odd:
         sx_raw = 0.5 * (history[-1][1] + history[-2][1])
         sz_raw = 0.5 * (history[-1][2] + history[-2][2])
     else:
         sx_raw, sz_raw = history[-1][1], history[-1][2]
 
-    window = history[-cfg.plateau_window :]
+    window = history[-PLATEAU_WINDOW:]
     report = ConvergenceReport(
         n_m=state.n,
         converged=scale_met and plateau_met,

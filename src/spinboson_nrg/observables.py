@@ -12,9 +12,10 @@ no sign strings appear when a site is added.
 
 Sign convention: with the Hamiltonian used here the raw ground-state
 correlator <O_x + O_x^dag> is negative and, for a positive field, <2 S_z> is
-negative.  Reported values carry a global sign flip so that sx -> +1 in the
-weak-dissipation limit and sz -> +1 in the polarized limit; the entanglement
-entropy depends only on the magnitude, so nothing physical changes.
+negative.  Only `engine.run` flips their sign, so that the reported sx -> +1
+at weak dissipation and sz -> +1 when polarized, and judges convergence, with
+the engine's PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL; the entropy
+depends only on the magnitude, so nothing physical changes.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import BlockOp, ConvergenceReport, IterationState, NRGConfig
-from .engine import SPIN_FLIP, fill_images, rotate
+from .engine import DEGENERACY_TOL, SPIN_FLIP, BlockOp, IterationState, NRGConfig
+from .engine import fill_images, rotate
 from .engine import S_MINUS, S_Z, SITE_ONE, SITE_S_PLUS  # bare impurity and site ops
 from .params import DomainError
-
-
-class ConvergenceError(RuntimeError):
-    """Observable read-out requested from an unconverged run."""
 
 
 @dataclass
@@ -78,11 +75,11 @@ def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
 
 
 def ground_expectation_raw(
-    state: IterationState, ops: OperatorBlocks, degeneracy_tol: float = 1e-10
+    state: IterationState, ops: OperatorBlocks
 ) -> tuple[float, float]:
     """Raw (<O_x + O_x^dag>, 2<S_z>) averaged over the ground multiplet.
 
-    Averaging the diagonal over all states within degeneracy_tol of the
+    Averaging the diagonal over all states within DEGENERACY_TOL of the
     ground removes the eigensolver's arbitrary basis choice in a degenerate
     subspace.
     """
@@ -91,37 +88,12 @@ def ground_expectation_raw(
     for s in sorted(state.blocks):
         energies = state.blocks[s].energies
         ox, oz = ops.ox.get((s, s)), ops.oz.get((s, s))
-        for i in np.nonzero(energies <= degeneracy_tol)[0]:
+        for i in np.nonzero(energies <= DEGENERACY_TOL)[0]:
             sx_vals.append(0.0 if ox is None else float(ox[i, i]))
             sz_vals.append(0.0 if oz is None else 2.0 * float(oz[i, i]))
     if not sx_vals:
         raise ValueError("no ground state found below the degeneracy tolerance")
     return float(np.mean(sx_vals)), float(np.mean(sz_vals))
-
-
-def expectation_values(
-    state: IterationState,
-    ops: OperatorBlocks,
-    report: ConvergenceReport | None = None,
-    override: bool = False,
-) -> tuple[float, float]:
-    """Reported (sx, sz) in the figures' sign convention.
-
-    With the run's convergence report, returns the report's sx and sz and
-    refuses an unconverged run unless override is set; without one, reads
-    the ground state of state.
-    """
-    if report is None:
-        sx_raw, sz_raw = ground_expectation_raw(state, ops)
-        return -sx_raw, -sz_raw
-    if not report.converged and not override:
-        raise ConvergenceError(
-            f"run not converged at N={report.n_m}"
-            f" (scale_met={report.scale_met}, plateau_met={report.plateau_met},"
-            f" drift_sx={report.drift_sx:.3g}, drift_sz={report.drift_sz:.3g});"
-            " pass override=True to read out anyway"
-        )
-    return report.sx, report.sz
 
 
 def entanglement_entropy(sx: float, sz: float) -> tuple[float, float, float]:

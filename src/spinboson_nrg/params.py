@@ -100,7 +100,7 @@ def map_to_kondo(p: SpinBosonPoint) -> KondoParams:
     k = KondoParams(
         rho0_jperp=p.delta_ratio,
         rho0_jpar=rho0_jpar,
-        field=p.epsilon * p.delta_abs,
+        field=p.epsilon_abs,
     )
     if not k.in_longitudinal_sector:
         warnings.warn(

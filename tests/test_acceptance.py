@@ -178,7 +178,7 @@ def test_criterion_6_hellmann_feynman_full_scale():
         st = init_impurity_site(kk)
         for _ in range(n_fixed):
             st = add_site(st, chain)
-            st = truncate(st, DEFAULTS.n_keep, DEFAULTS.degeneracy_tol)
+            st = truncate(st, DEFAULTS.n_keep)
         return st.e0_accumulated
 
     r = 1e-4

@@ -275,6 +275,7 @@ class TestCLIHelpers:
             ("n_kept = 64\n", "unknown key"),
             ("eta = 0.05\nn_keep = abc\n", r"solver\.conf:2: bad value for 'n_keep'"),
             ("format = xml\n", r"solver\.conf:1: bad value for 'format'"),
+            ("plateau_tol = 1e-6\n", "unknown key"),  # a fixed engine constant
         ):
             path.write_text(text)
             with pytest.raises(CLIError, match=message):
@@ -358,7 +359,7 @@ class TestCLI:
     def test_alpha_max_output(self, tmp_path, monkeypatch):
         calls = []
 
-        def fake(eps_over_delta, delta_ratio, cfg):
+        def fake(eps_over_delta, delta_ratio, cfg, evaluate):
             calls.append((eps_over_delta, delta_ratio, cfg))
             return AlphaMaxResult(0.42, 0.9, 3, {0.3: 0.8, 0.42: 0.9, 0.5: 0.85})
 
@@ -376,8 +377,33 @@ class TestCLI:
             ("evaluations", {"0.3": 0.8, "0.42": 0.9, "0.5": 0.85}),
         ]
 
+    def test_alpha_max_unconverged_evaluation_exit_code(self, monkeypatch, capsys):
+        def fake_point(p, cfg):
+            # a quadratic entropy profile; only alpha = 0.5 fails to converge
+            entropy = 1.0 - (p.alpha - 0.37) ** 2
+            return sweep_mod._record(
+                p, cfg, n_m=5, converged=p.alpha != 0.5, sx=0.5, sz=0.1, norm=0.51,
+                entropy=entropy, p_plus=0.755, p_minus=0.245, delta_r=1e-3,
+            )
+
+        monkeypatch.setattr(cli_mod, "run_point", fake_point)
+        code = main(["alpha-max", "--eps-over-delta", "0.1"])
+        assert code == cli_mod.EXIT_ROWS == 4
+        out, err = capsys.readouterr()
+        alpha_line, _, count_line = out.splitlines()  # the alpha_M lines come first
+        assert abs(float(alpha_line.split("=")[1]) - 0.37) <= 0.01
+        n_evaluations = int(count_line.split(":")[1])
+        assert err.strip().splitlines() == [
+            f"warning: of {n_evaluations} evaluations, 1 did not converge"
+        ]
+
     @pytest.mark.parametrize(
-        "command", [["sweep", "--alpha", "0.2,0.4,0.6"], ["preset", "fig1"]]
+        "command",
+        [
+            ["sweep", "--alpha", "0.2,0.4,0.6"],
+            ["preset", "fig1"],
+            ["point", "--alpha", "0.2,0.4,0.6"],
+        ],
     )
     def test_failed_or_unconverged_rows_exit_code(
         self, command, tmp_path, monkeypatch, capsys
