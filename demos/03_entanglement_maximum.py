@@ -32,5 +32,8 @@ print("\nrefining the maximum ...", file=sys.stderr)
 result = find_alpha_max(eps_over_delta, delta_ratio, config)
 print(f"\nalpha_M = {result.alpha_m:.3f}  with  E(alpha_M) = {result.entropy_max:.5f} bits")
 print(f"({result.n_evaluations} solver evaluations)")
+if result.unconverged:
+    print(f"warning: of {result.n_evaluations} evaluations, {len(result.unconverged)}"
+          " did not converge, so alpha_M is not a result", file=sys.stderr)
 print("\nShrinking eps/Delta pushes alpha_M toward 1 and raises the peak;"
       " the maximum exists for arbitrarily small bias.")

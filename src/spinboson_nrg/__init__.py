@@ -24,10 +24,8 @@ from .engine import (
     truncate,
 )
 from .observables import (
-    AlphaMaxResult,
     OperatorBlocks,
     entanglement_entropy,
-    find_alpha_max,
     ground_expectation_raw,
     init_operator_blocks,
     propagate,
@@ -50,8 +48,10 @@ from .params import (
     renormalized_tunneling,
 )
 from .sweep import (
+    AlphaMaxResult,
     ObservableRecord,
     SweepSpec,
+    find_alpha_max,
     preset,
     read_json_records,
     run_point,

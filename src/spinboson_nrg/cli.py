@@ -13,15 +13,14 @@ import json
 import sys
 
 from .engine import PAPER_FIDELITY, NRGConfig
-from .observables import find_alpha_max
-from .params import DomainError, SpinBosonPoint
+from .params import DomainError
 from .sweep import (
     CONFIG_FIELDS,
     OUTPUT_FORMATS,
     PRESETS,
     SweepSpec,
+    find_alpha_max,
     preset,
-    run_point,
     run_sweep,
     verify,
     write_output_path,
@@ -104,8 +103,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help=f"states kept per iteration (default {NRGConfig.n_keep})")
     p.add_argument("--n-max", type=int, default=None,
                    help=f"maximum number of iterations (default {NRGConfig.n_max})")
-    p.add_argument("--eta", type=float, default=None,
-                   help="stop factor: iterate until omega_N < eta * Delta_r")
     p.add_argument("--paper-fidelity", action="store_true",
                    help="production settings: lambda {lam}, {n_keep} kept states"
                    .format(**PAPER_FIDELITY))
@@ -228,23 +225,17 @@ def main(argv=None) -> int:
             )
 
         if args.command == "alpha-max":
-            eps, ratio, records = args.eps_over_delta, args.delta_ratio, []
-
-            def evaluate(alpha: float) -> float:
-                records.append(run_point(SpinBosonPoint(alpha, eps, ratio), cfg))
-                return records[-1].entropy
-
-            result = find_alpha_max(eps, ratio, cfg, evaluate=evaluate)
+            result = find_alpha_max(args.eps_over_delta, args.delta_ratio, cfg)
             print(f"alpha_M = {result.alpha_m:.4f}")
             print(f"E(alpha_M) = {result.entropy_max:.6f} bits")
             print(f"evaluations: {result.n_evaluations}")
             if output:
                 with open(output, "w", encoding="utf-8") as fh:
                     json.dump(dataclasses.asdict(result), fh, indent=2)
-            unconverged = sum(not r.converged for r in records)
+            unconverged = len(result.unconverged)
             return _exit_status(
                 unconverged,
-                f"of {len(records)} evaluations, {unconverged} did not converge",
+                f"of {result.n_evaluations} evaluations, {unconverged} did not converge",
             )
 
         if args.command == "verify":

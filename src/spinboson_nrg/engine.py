@@ -48,7 +48,7 @@ sectors, the n_keep-th lowest energy moved up to the next clear gap (see
 
 Read-out and verdict: only `run` applies the figures' sign flip to the raw
 ground-state observables and judges convergence, in its `ConvergenceReport`,
-with the fixed tolerances PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL.
+with the fixed constants ETA, PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL.
 
 Fermionic signs: A (x) B means B acting after A.  A site term that changes
 the electron count anticommutes past the fermions of the block state A leads
@@ -113,7 +113,6 @@ class NRGConfig:
     lam: float = 2.0
     n_keep: int = 300
     n_max: int = 300
-    eta: float = 1e-2            # stop once omega_N < eta * Delta_r
 
     def __post_init__(self):
         if not 1.0 < self.lam < math.inf:
@@ -122,20 +121,19 @@ class NRGConfig:
             raise DomainError("n_keep must be >= 16")
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if not 0.0 < self.eta < 1.0:
-            raise DomainError("eta must lie in (0, 1)")
 
     @classmethod
-    def paper_fidelity(cls, **overrides) -> "NRGConfig":
+    def paper_fidelity(cls) -> "NRGConfig":
         """Production settings: finer discretization, larger kept basis."""
-        return cls(**{**PAPER_FIDELITY, **overrides})
+        return cls(**PAPER_FIDELITY)
 
 
 # the production bundle behind NRGConfig.paper_fidelity and --paper-fidelity
 PAPER_FIDELITY = {"lam": 1.5, "n_keep": 1200}
 
-# the convergence test (`_plateau_status`); levels within DEGENERACY_TOL are
-# one multiplet, for the truncation cut and for the ground-state read-out
+# `run` has converged once omega_N < ETA * Delta_r and `_plateau_status` holds;
+# levels within DEGENERACY_TOL are one multiplet, for truncation and read-out
+ETA = 1e-2
 PLATEAU_WINDOW = 4
 PLATEAU_TOL = 1e-6
 DEGENERACY_TOL = 1e-10
@@ -600,7 +598,7 @@ class ConvergenceReport:
     the raw sign), averaged over the last two iterations when even_odd_averaged,
     the plateau of a flow alternating with the parity of n.  They are results
     only when converged: scale_met (omega_final, omega_N at the last iteration
-    n_m, is below eta * delta_r) and plateau_met (`_plateau_status`).
+    n_m, is below ETA * delta_r) and plateau_met (`_plateau_status`).
     drift_sx, drift_sz: max - min of the raw values over the last
     PLATEAU_WINDOW iterations.  history: (n, sx_raw, sz_raw) per iteration
     0 .. n_m, in the raw sign.
@@ -641,7 +639,7 @@ def _plateau_status(history: list[tuple[int, float, float]]) -> tuple[bool, bool
 
 
 def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
-    """Iterate until omega_N < eta * Delta_r and the observables plateau.
+    """Iterate until omega_N < ETA * Delta_r and the observables plateau.
 
     Delta_r is `renormalized_tunneling` of the spin-boson point that k maps
     back to, and the report carries that value.  Reaching n_max without
@@ -665,7 +663,7 @@ def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceRepo
         ops = propagate(ops, state)
         sx_raw, sz_raw = ground_expectation_raw(state, ops)
         history.append((state.n, sx_raw, sz_raw))
-        scale_met = energy_scale(cfg.lam, state.n) < cfg.eta * delta_r
+        scale_met = energy_scale(cfg.lam, state.n) < ETA * delta_r
         plateau_met, even_odd = _plateau_status(history)
         if scale_met and plateau_met:
             break

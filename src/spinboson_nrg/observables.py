@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .engine import DEGENERACY_TOL, SPIN_FLIP, BlockOp, IterationState, NRGConfig
+from .engine import DEGENERACY_TOL, SPIN_FLIP, BlockOp, IterationState
 from .engine import fill_images, rotate
 from .engine import S_MINUS, S_Z, SITE_ONE, SITE_S_PLUS  # bare impurity and site ops
 from .params import DomainError
@@ -113,80 +112,3 @@ def entanglement_entropy(sx: float, sz: float) -> tuple[float, float, float]:
         if p > 0.0:
             entropy -= p * math.log2(p)
     return p_plus, p_minus, entropy
-
-
-@dataclass
-class AlphaMaxResult:
-    alpha_m: float
-    entropy_max: float
-    n_evaluations: int
-    evaluations: dict[float, float]
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def find_alpha_max(
-    eps_over_delta: float,
-    delta_ratio: float,
-    cfg: NRGConfig,
-    grid: tuple[float, ...] = tuple(round(0.1 * i, 2) for i in range(1, 10)),
-    tol: float = 0.01,
-    evaluate: Callable[[float], float] | None = None,
-) -> AlphaMaxResult:
-    """Locate the interior maximum of the entropy as a function of alpha.
-
-    Coarse grid scan followed by golden-section refinement of the bracketing
-    interval down to |delta alpha| <= tol.  Only meaningful for a finite level
-    asymmetry; at eps = 0 the entropy grows monotonically and no interior
-    maximum exists.
-    """
-    if eps_over_delta <= 0.0:
-        raise DomainError("find_alpha_max requires eps_over_delta > 0")
-    if len(grid) < 3:
-        raise DomainError("alpha grid must contain at least 3 points")
-
-    if evaluate is None:
-
-        def evaluate(alpha: float) -> float:
-            from .params import SpinBosonPoint
-            from .sweep import run_point
-
-            point = SpinBosonPoint(
-                alpha=alpha, epsilon=eps_over_delta, delta_ratio=delta_ratio
-            )
-            return run_point(point, cfg).entropy
-
-    cache: dict[float, float] = {}
-
-    def f(alpha: float) -> float:
-        key = round(alpha, 12)
-        if key not in cache:
-            cache[key] = evaluate(key)
-        return cache[key]
-
-    values = [f(a) for a in grid]
-    i_max = int(np.argmax(values))
-    if i_max == 0 or i_max == len(grid) - 1:
-        raise DomainError(
-            "no interior maximum found: entropy is monotone on the alpha grid"
-        )
-
-    a, b = grid[i_max - 1], grid[i_max + 1]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    while b - a > 2.0 * tol:
-        if f(c) >= f(d):
-            b, d = d, c
-            c = b - _GOLDEN * (b - a)
-        else:
-            a, c = c, d
-            d = a + _GOLDEN * (b - a)
-
-    alpha_m = round(0.5 * (a + b), 12)
-    return AlphaMaxResult(
-        alpha_m=alpha_m,
-        entropy_max=f(alpha_m),
-        n_evaluations=len(cache),
-        evaluations=dict(sorted(cache.items())),
-    )

@@ -1,4 +1,4 @@
-"""Point and grid-sweep execution with machine-readable CSV/JSON output.
+"""Point and grid-sweep execution, the alpha_M search, and CSV/JSON output.
 
 All energies in the output are in half-bandwidth units (D0 = 1, wc = 2); the
 level asymmetry is reported as the ratio eps/Delta.  Records are deterministic
@@ -42,23 +42,23 @@ SIGN_CONVENTION_NOTE = (
 
 @dataclass(frozen=True)
 class ObservableRecord:
-    """Converged observables for one parameter point."""
+    """Observables for one parameter point; the defaults are a failed point's."""
 
     alpha: float
     eps_over_delta: float
     delta_ratio: float
     lam: float
     n_keep: int
-    n_m: int
-    converged: bool
-    sx: float
-    sz: float
-    sy: float
-    norm: float
-    entropy: float
-    p_plus: float
-    p_minus: float
-    delta_r: float
+    n_m: int = 0
+    converged: bool = False
+    sx: float = math.nan
+    sz: float = math.nan
+    sy: float = 0.0
+    norm: float = math.nan
+    entropy: float = math.nan
+    p_plus: float = math.nan
+    p_minus: float = math.nan
+    delta_r: float = math.nan
     even_odd_averaged: bool = False
     error: str | None = None
 
@@ -71,7 +71,6 @@ def _record(p: SpinBosonPoint, cfg: NRGConfig, **results) -> ObservableRecord:
         delta_ratio=p.delta_ratio,
         lam=cfg.lam,
         n_keep=cfg.n_keep,
-        sy=0.0,
         **results,
     )
 
@@ -93,6 +92,73 @@ def run_point(p: SpinBosonPoint, cfg: NRGConfig) -> ObservableRecord:
         p_minus=p_minus,
         delta_r=report.delta_r,
         even_odd_averaged=report.even_odd_averaged,
+    )
+
+
+@dataclass
+class AlphaMaxResult:
+    alpha_m: float
+    entropy_max: float
+    n_evaluations: int
+    evaluations: dict[float, float]
+    unconverged: tuple[float, ...]  # the evaluated alphas whose run did not converge
+
+
+ALPHA_MAX_GRID = tuple(round(0.1 * i, 2) for i in range(1, 10))
+ALPHA_MAX_TOL = 0.01
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def find_alpha_max(
+    eps_over_delta: float, delta_ratio: float, cfg: NRGConfig
+) -> AlphaMaxResult:
+    """Locate the interior maximum of the entropy as a function of alpha.
+
+    One `run_point` per alpha: a scan of ALPHA_MAX_GRID, then golden-section
+    refinement of the bracket down to |delta alpha| <= ALPHA_MAX_TOL.  Only
+    eps > 0 has an interior maximum (at eps = 0 the entropy grows
+    monotonically); an entropy is a result only if its alpha is not in
+    `unconverged`.
+    """
+    if eps_over_delta <= 0.0:
+        raise DomainError("find_alpha_max requires eps_over_delta > 0")
+
+    records: dict[float, ObservableRecord] = {}
+
+    def f(alpha: float) -> float:
+        key = round(alpha, 12)
+        if key not in records:
+            p = SpinBosonPoint(key, eps_over_delta, delta_ratio)
+            records[key] = run_point(p, cfg)
+        return records[key].entropy
+
+    i_max = int(np.argmax([f(a) for a in ALPHA_MAX_GRID]))
+    if i_max == 0 or i_max == len(ALPHA_MAX_GRID) - 1:
+        raise DomainError(
+            "no interior maximum found: entropy is monotone on the alpha grid"
+        )
+
+    a, b = ALPHA_MAX_GRID[i_max - 1], ALPHA_MAX_GRID[i_max + 1]
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    while b - a > 2.0 * ALPHA_MAX_TOL:
+        if f(c) >= f(d):
+            b, d = d, c
+            c = b - _GOLDEN * (b - a)
+        else:
+            a, c = c, d
+            d = a + _GOLDEN * (b - a)
+
+    alpha_m = round(0.5 * (a + b), 12)
+    entropy_max = f(alpha_m)
+    ordered = sorted(records.items())
+    return AlphaMaxResult(
+        alpha_m=alpha_m,
+        entropy_max=entropy_max,
+        n_evaluations=len(records),
+        evaluations={alpha: r.entropy for alpha, r in ordered},
+        unconverged=tuple(alpha for alpha, r in ordered if not r.converged),
     )
 
 
@@ -120,10 +186,7 @@ def _evaluate_point(args: tuple[SpinBosonPoint, NRGConfig]) -> ObservableRecord:
     try:
         return run_point(p, cfg)
     except Exception as exc:  # failure recorded per row, sweep continues
-        results = ("sx", "sz", "norm", "entropy", "p_plus", "p_minus", "delta_r")
-        nans = dict.fromkeys(results, math.nan)
-        error = f"{type(exc).__name__}: {exc}"
-        return _record(p, cfg, n_m=0, converged=False, error=error, **nans)
+        return _record(p, cfg, error=f"{type(exc).__name__}: {exc}")
 
 
 # the thread-count variables of the BLAS builds numpy ships with or links to

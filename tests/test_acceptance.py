@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spinboson_nrg.sweep as sweep_mod
 from spinboson_nrg import (
     KondoParams,
     NRGConfig,
@@ -138,7 +139,7 @@ def _unimodal(values):
     return rising and falling, peak
 
 
-def test_criterion_5_asymmetric_behavior(asymmetric_grid):
+def test_criterion_5_asymmetric_behavior(asymmetric_grid, monkeypatch):
     sx = [asymmetric_grid[a].sx for a in ALPHA_GRID]
     sz = [asymmetric_grid[a].sz for a in ALPHA_GRID]
     ent = [asymmetric_grid[a].entropy for a in ALPHA_GRID]
@@ -147,23 +148,22 @@ def test_criterion_5_asymmetric_behavior(asymmetric_grid):
     unimodal, peak = _unimodal(ent)
     interior = 0 < peak < len(ALPHA_GRID) - 1
 
-    cache = {a: asymmetric_grid[a].entropy for a in ALPHA_GRID}
+    def cached_point(p, cfg):
+        # the grid points are the fixture's records; refinement points run
+        if p.alpha in asymmetric_grid:
+            return asymmetric_grid[p.alpha]
+        return run_point(p, cfg)
 
-    def evaluate(alpha):
-        if alpha in cache:
-            return cache[alpha]
-        p = SpinBosonPoint(alpha=alpha, epsilon=0.1, delta_ratio=0.04)
-        return run_point(p, DEFAULTS).entropy
-
-    result = find_alpha_max(0.1, 0.04, DEFAULTS, grid=ALPHA_GRID, tol=0.01,
-                            evaluate=evaluate)
+    monkeypatch.setattr(sweep_mod, "run_point", cached_point)
+    result = find_alpha_max(0.1, 0.04, DEFAULTS)
     _report(
         5,
         sz_increasing and sz[-1] >= 0.9 and sx_decreasing and unimodal
-        and interior and 0.0 < result.alpha_m < 0.9,
+        and interior and 0.0 < result.alpha_m < 0.9 and not result.unconverged,
         f"sz increasing: {sz_increasing}, sz(0.9)={sz[-1]:.4f} (gate 0.9),"
         f" sx decreasing: {sx_decreasing}, E unimodal: {unimodal},"
-        f" alpha_M={result.alpha_m:.3f} refined to 0.01",
+        f" alpha_M={result.alpha_m:.3f} refined to 0.01,"
+        f" unconverged evaluations: {list(result.unconverged)}",
     )
 
 

@@ -25,7 +25,8 @@ from spinboson_nrg import (
     truncate,
 )
 import spinboson_nrg.engine as engine_mod
-from spinboson_nrg.engine import DEGENERACY_TOL, PARTICLE_HOLE, SITE_ONE, SPIN_FLIP
+from spinboson_nrg.engine import DEGENERACY_TOL, ETA, PARTICLE_HOLE, SITE_ONE
+from spinboson_nrg.engine import SPIN_FLIP
 from spinboson_nrg.engine import _plateau_status
 from spinboson_nrg.engine import rotate
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, UP
@@ -273,8 +274,8 @@ class TestRun:
         assert report.converged
         assert report.scale_met and report.plateau_met
         dr = renormalized_tunneling(p)
-        assert energy_scale(cfg.lam, report.n_m) < cfg.eta * dr
-        # solving 2^(-(N-1)/2) < eta * Delta_r requires at least 31 sites
+        assert energy_scale(cfg.lam, report.n_m) < ETA * dr
+        # solving 2^(-(N-1)/2) < ETA * Delta_r requires at least 31 sites
         assert report.n_m >= 31
 
     def test_unconverged_flagged_not_raised(self):
@@ -291,11 +292,11 @@ class TestRun:
         state, report = run(k, NRGConfig(lam=1.5, n_keep=100))
         assert report.converged
         assert report.n_m < 300
-        # omega must undercut eta * Delta_r ~ 2e-16
-        assert report.omega_final < 1e-2 * renormalized_tunneling(p)
+        # omega must undercut ETA * Delta_r ~ 2e-16
+        assert report.omega_final < ETA * renormalized_tunneling(p)
 
 
-@pytest.mark.parametrize("name", ["lam", "eta"])
+@pytest.mark.parametrize("name", ["lam"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_config_rejected(name, value):
     with pytest.raises(DomainError):

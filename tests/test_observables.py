@@ -23,6 +23,7 @@ from spinboson_nrg import (
     run,
     truncate,
 )
+import spinboson_nrg.sweep as sweep_mod
 from spinboson_nrg.oracle import sector_hamiltonians, spin_flip_matrix
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
@@ -204,18 +205,37 @@ class TestEntanglementEntropy:
 
 
 class TestFindAlphaMax:
+    @staticmethod
+    def _fake_points(monkeypatch, entropy, unconverged=()):
+        """Replace run_point by a record of entropy(alpha); the alphas in
+        unconverged did not converge."""
+
+        def fake(p, cfg):
+            return sweep_mod._record(
+                p, cfg, converged=p.alpha not in unconverged, entropy=entropy(p.alpha)
+            )
+
+        monkeypatch.setattr(sweep_mod, "run_point", fake)
+
     def test_zero_bias_rejected(self):
         with pytest.raises(DomainError, match="eps_over_delta"):
             find_alpha_max(0.0, 0.04, NRGConfig())
 
-    def test_monotone_entropy_rejected(self):
+    def test_monotone_entropy_rejected(self, monkeypatch):
+        self._fake_points(monkeypatch, lambda a: a)
         with pytest.raises(DomainError, match="no interior maximum"):
-            find_alpha_max(0.1, 0.04, NRGConfig(), evaluate=lambda a: a)
+            find_alpha_max(0.1, 0.04, NRGConfig())
 
-    def test_quadratic_profile_located(self):
-        result = find_alpha_max(
-            0.1, 0.04, NRGConfig(), evaluate=lambda a: 1.0 - (a - 0.37) ** 2
-        )
+    def test_quadratic_profile_located(self, monkeypatch):
+        self._fake_points(monkeypatch, lambda a: 1.0 - (a - 0.37) ** 2)
+        result = find_alpha_max(0.1, 0.04, NRGConfig())
         assert abs(result.alpha_m - 0.37) <= 0.01
         assert result.entropy_max == pytest.approx(1.0, abs=1e-3)
         assert result.n_evaluations == len(result.evaluations)
+        assert result.unconverged == ()
+
+    def test_unconverged_evaluations_reported(self, monkeypatch):
+        self._fake_points(monkeypatch, lambda a: 1.0 - (a - 0.37) ** 2, (0.3,))
+        result = find_alpha_max(0.1, 0.04, NRGConfig())
+        assert 0.3 in result.evaluations
+        assert result.unconverged == (0.3,)

@@ -230,7 +230,7 @@ class TestOutput:
         meta = payload["metadata"]
         assert meta["config"]["lambda"] == FAST.lam
         assert meta["config"]["n_keep"] == FAST.n_keep
-        assert meta["config"]["eta"] == FAST.eta
+        assert "eta" not in meta["config"]  # a fixed engine constant
         assert "sign_convention" in meta
         assert meta["note"] == "hello"
         assert payload["records"][0]["lambda"] == FAST.lam
@@ -261,9 +261,9 @@ class TestCLIHelpers:
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "solver.conf"
-        path.write_text("n_keep = 64\nlambda = 2.5  # coarse\n\neta = 0.05\n")
+        path.write_text("n_keep = 64\nlambda = 2.5  # coarse\n\nn_max = 40\n")
         values = read_config_file(str(path))
-        assert values == {"n_keep": 64, "lambda": 2.5, "eta": 0.05}
+        assert values == {"n_keep": 64, "lambda": 2.5, "n_max": 40}
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "solver.conf"
@@ -273,9 +273,10 @@ class TestCLIHelpers:
         # fail at read time with the offending line
         for text, message in (
             ("n_kept = 64\n", "unknown key"),
-            ("eta = 0.05\nn_keep = abc\n", r"solver\.conf:2: bad value for 'n_keep'"),
+            ("n_max = 40\nn_keep = abc\n", r"solver\.conf:2: bad value for 'n_keep'"),
             ("format = xml\n", r"solver\.conf:1: bad value for 'format'"),
             ("plateau_tol = 1e-6\n", "unknown key"),  # a fixed engine constant
+            ("eta = 0.05\n", "unknown key"),  # a fixed engine constant
         ):
             path.write_text(text)
             with pytest.raises(CLIError, match=message):
@@ -359,9 +360,9 @@ class TestCLI:
     def test_alpha_max_output(self, tmp_path, monkeypatch):
         calls = []
 
-        def fake(eps_over_delta, delta_ratio, cfg, evaluate):
+        def fake(eps_over_delta, delta_ratio, cfg):
             calls.append((eps_over_delta, delta_ratio, cfg))
-            return AlphaMaxResult(0.42, 0.9, 3, {0.3: 0.8, 0.42: 0.9, 0.5: 0.85})
+            return AlphaMaxResult(0.42, 0.9, 3, {0.3: 0.8, 0.42: 0.9, 0.5: 0.85}, ())
 
         monkeypatch.setattr(cli_mod, "find_alpha_max", fake)
         out = tmp_path / "amax.json"
@@ -375,6 +376,7 @@ class TestCLI:
             ("entropy_max", 0.9),
             ("n_evaluations", 3),
             ("evaluations", {"0.3": 0.8, "0.42": 0.9, "0.5": 0.85}),
+            ("unconverged", []),
         ]
 
     def test_alpha_max_unconverged_evaluation_exit_code(self, monkeypatch, capsys):
@@ -386,7 +388,7 @@ class TestCLI:
                 entropy=entropy, p_plus=0.755, p_minus=0.245, delta_r=1e-3,
             )
 
-        monkeypatch.setattr(cli_mod, "run_point", fake_point)
+        monkeypatch.setattr(sweep_mod, "run_point", fake_point)
         code = main(["alpha-max", "--eps-over-delta", "0.1"])
         assert code == cli_mod.EXIT_ROWS == 4
         out, err = capsys.readouterr()
