@@ -12,24 +12,22 @@ The golden-section refinement locates alpha_M to 0.01.
 
 import sys
 
-from spinboson_nrg import NRGConfig, SpinBosonPoint, find_alpha_max, run_point
+from spinboson_nrg import NRGConfig, find_alpha_max
+from spinboson_nrg.sweep import ALPHA_MAX_GRID
 
 config = NRGConfig()
 eps_over_delta = 0.1
 delta_ratio = 0.04
 
-print("scanning alpha at eps/Delta = 0.1 ...", file=sys.stderr)
+print("scanning alpha at eps/Delta = 0.1 and refining the maximum ...", file=sys.stderr)
+result = find_alpha_max(eps_over_delta, delta_ratio, config)
+
+# the search scans ALPHA_MAX_GRID first, so its records hold the whole table
 print(f"{'alpha':>6} {'<sigma_x>':>10} {'<sigma_z>':>10} {'E [bits]':>9}")
-for i in range(1, 10):
-    alpha = round(0.1 * i, 1)
-    rec = run_point(
-        SpinBosonPoint(alpha=alpha, epsilon=eps_over_delta, delta_ratio=delta_ratio),
-        config,
-    )
+for alpha in ALPHA_MAX_GRID:
+    rec = result.evaluations[alpha]
     print(f"{alpha:6.1f} {rec.sx:10.5f} {rec.sz:10.5f} {rec.entropy:9.5f}")
 
-print("\nrefining the maximum ...", file=sys.stderr)
-result = find_alpha_max(eps_over_delta, delta_ratio, config)
 print(f"\nalpha_M = {result.alpha_m:.3f}  with  E(alpha_M) = {result.entropy_max:.5f} bits")
 print(f"({result.n_evaluations} solver evaluations)")
 if result.unconverged:

@@ -10,7 +10,7 @@ entanglement.
 
 __version__ = "0.1.0"
 
-from .chain import WilsonChain, build_chain, energy_scale
+from .chain import WilsonChain, build_chain
 from .engine import (
     ConvergenceReport,
     EngineError,
@@ -82,7 +82,6 @@ __all__ = [
     "build_basis",
     "build_chain",
     "compare_with_nrg",
-    "energy_scale",
     "entanglement_entropy",
     "exact_ground",
     "find_alpha_max",

@@ -58,7 +58,3 @@ def build_chain(lam: float, n_max: int) -> WilsonChain:
     hop.flags.writeable = False
     return WilsonChain(lam=lam, band_edge=band_edge, xi=xi, hop=hop)
 
-
-def energy_scale(lam: float, n: int) -> float:
-    """Characteristic scale omega_N = Lambda^(-(N-1)/2) of iteration N."""
-    return lam ** (-(n - 1) / 2.0)

@@ -230,8 +230,10 @@ def main(argv=None) -> int:
             print(f"E(alpha_M) = {result.entropy_max:.6f} bits")
             print(f"evaluations: {result.n_evaluations}")
             if output:
+                entropies = {a: r.entropy for a, r in result.evaluations.items()}
                 with open(output, "w", encoding="utf-8") as fh:
-                    json.dump(dataclasses.asdict(result), fh, indent=2)
+                    json.dump({**dataclasses.asdict(result), "evaluations": entropies},
+                              fh, indent=2)
             unconverged = len(result.unconverged)
             return _exit_status(
                 unconverged,

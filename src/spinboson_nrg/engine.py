@@ -37,10 +37,11 @@ the other blocks: G X G^-1 has the block sym(t1) X[t1, t2] sym(t2) at
 
 Rescaling convention: stored sector energies at iteration N are
 (E - E0) / IterationState.unscale, with the current ground state at zero;
-unscale is omega_N = Lambda^(-(N-1)/2) for N >= 1 and 1 for N <= 0, a rule
-that only `_extend` applies.  The subtracted ground shifts are accumulated
-unrescaled in e0_accumulated, so the absolute chain ground energy stays
-available for energy-derivative checks.
+unscale is omega_N = Lambda^(-(N-1)/2) for N >= 1 and 1 for N <= 0.  Only
+`_extend` applies it, by the step factor sqrt(Lambda) (1 up to N = 1); omega_N
+is never a divisor, as it underflows (to 0.0 from N = 649 at Lambda = 10).  The
+ground shifts are accumulated unrescaled in e0_accumulated, so the absolute
+chain ground energy stays available for energy-derivative checks.
 
 Truncation keeps every state at or below one cut energy E_cut across all
 sectors, the n_keep-th lowest energy moved up to the next clear gap (see
@@ -65,11 +66,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import WilsonChain, build_chain, energy_scale
+from .chain import WilsonChain, build_chain
 from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN, IMP_DN, IMP_UP
 from .fock import LOCAL_STATES, N_EL, PH, PH_SIGN
-from .params import DomainError, KondoParams, kondo_to_spinboson
-from .params import renormalized_tunneling
+from .params import DomainError, KondoParams, SpinBosonPoint, kondo_to_spinboson
+from .params import log_renormalized_tunneling, renormalized_tunneling
 
 
 class EngineError(RuntimeError):
@@ -464,8 +465,8 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
     terms holds (c, A, B) triples; lam is None only for the impurity step.
     """
     n_new = state.n + 1
-    unscale = energy_scale(lam, n_new) if n_new > 0 else 1.0
-    scale = state.unscale / unscale
+    scale = math.sqrt(lam) if n_new > 1 else 1.0
+    unscale = state.unscale / scale
     old = state.blocks
 
     layout: Layout = {}
@@ -597,8 +598,8 @@ class ConvergenceReport:
     sx, sz: -<O_x + O_x^dag> and -2<S_z> of the ground multiplet (`run` flips
     the raw sign), averaged over the last two iterations when even_odd_averaged,
     the plateau of a flow alternating with the parity of n.  They are results
-    only when converged: scale_met (omega_final, omega_N at the last iteration
-    n_m, is below ETA * delta_r) and plateau_met (`_plateau_status`).
+    only when converged: scale_met (n_m > n_star, the depth `_n_star`) and
+    plateau_met (`_plateau_status`).  delta_r is 0.0 below the float range.
     drift_sx, drift_sz: max - min of the raw values over the last
     PLATEAU_WINDOW iterations.  history: (n, sx_raw, sz_raw) per iteration
     0 .. n_m, in the raw sign.
@@ -610,7 +611,7 @@ class ConvergenceReport:
     plateau_met: bool
     even_odd_averaged: bool
     delta_r: float
-    omega_final: float
+    n_star: float
     drift_sx: float
     drift_sz: float
     sx: float
@@ -638,18 +639,24 @@ def _plateau_status(history: list[tuple[int, float, float]]) -> tuple[bool, bool
     return False, False
 
 
-def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
-    """Iterate until omega_N < ETA * Delta_r and the observables plateau.
+def _n_star(p: SpinBosonPoint, lam: float) -> float:
+    """N* = 1 - 2 (ln ETA + ln Delta_r) / ln Lambda, finite where Delta_r
+    underflows: omega_N = Lambda^(-(N-1)/2) < ETA * Delta_r iff N > N*."""
+    return 1.0 - 2.0 * (math.log(ETA) + log_renormalized_tunneling(p)) / math.log(lam)
 
-    Delta_r is `renormalized_tunneling` of the spin-boson point that k maps
-    back to, and the report carries that value.  Reaching n_max without
-    satisfying both criteria is not an error; the report carries
+
+def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
+    """Iterate past the depth `_n_star` until the observables plateau.
+
+    The report carries N* and Delta_r of the spin-boson point k maps back to.
+    Reaching n_max short of both criteria is not an error; the report carries
     converged=False and the drift over the last window.
     """
     from .observables import ground_expectation_raw, init_operator_blocks, propagate
 
     chain = build_chain(cfg.lam, cfg.n_max)
-    delta_r = renormalized_tunneling(kondo_to_spinboson(k))
+    p = kondo_to_spinboson(k)
+    n_star = _n_star(p, cfg.lam)
 
     state = init_impurity_site(k)
     ops = init_operator_blocks(state)
@@ -663,7 +670,7 @@ def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceRepo
         ops = propagate(ops, state)
         sx_raw, sz_raw = ground_expectation_raw(state, ops)
         history.append((state.n, sx_raw, sz_raw))
-        scale_met = energy_scale(cfg.lam, state.n) < ETA * delta_r
+        scale_met = state.n > n_star
         plateau_met, even_odd = _plateau_status(history)
         if scale_met and plateau_met:
             break
@@ -681,8 +688,8 @@ def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceRepo
         scale_met=scale_met,
         plateau_met=plateau_met,
         even_odd_averaged=even_odd,
-        delta_r=delta_r,
-        omega_final=energy_scale(cfg.lam, state.n),
+        delta_r=renormalized_tunneling(p),
+        n_star=n_star,
         drift_sx=_drift([h[1] for h in window]),
         drift_sz=_drift([h[2] for h in window]),
         sx=-sx_raw,

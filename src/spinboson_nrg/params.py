@@ -130,24 +130,19 @@ def kondo_to_spinboson(k: KondoParams) -> SpinBosonPoint:
     )
 
 
-def renormalized_tunneling(p: SpinBosonPoint) -> float:
-    """Renormalized tunneling scale Delta_r = wc * (Delta/wc)^(1/(1-alpha)).
+def log_renormalized_tunneling(p: SpinBosonPoint) -> float:
+    """ln Delta_r = ln wc + ln(Delta/wc) / (1 - alpha), finite for every point.
 
-    This is the crossover (Kondo) scale that sets the iteration depth needed
-    for convergence.  If the power underflows, the result is clamped to the
-    smallest positive float and a RuntimeWarning is emitted.
+    Delta_r = wc * (Delta/wc)^(1/(1-alpha)) is the crossover (Kondo) scale
+    that sets the iteration depth needed for convergence; it collapses as
+    alpha -> 1, so the depth is computed from its logarithm.
     """
-    exponent = 1.0 / (1.0 - p.alpha)
-    dr = OMEGA_C * p.delta_ratio ** exponent
-    if dr <= 0.0:
-        warnings.warn(
-            f"renormalized tunneling underflowed at alpha={p.alpha};"
-            " clamped to the smallest positive float",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        dr = math.ulp(0.0)
-    return dr
+    return math.log(OMEGA_C) + math.log(p.delta_ratio) / (1.0 - p.alpha)
+
+
+def renormalized_tunneling(p: SpinBosonPoint) -> float:
+    """Delta_r itself; 0.0 once it falls below the float range."""
+    return math.exp(log_renormalized_tunneling(p))
 
 
 def noninteracting_reference(delta: float, epsilon: float) -> tuple[float, float]:

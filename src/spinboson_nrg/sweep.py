@@ -100,7 +100,7 @@ class AlphaMaxResult:
     alpha_m: float
     entropy_max: float
     n_evaluations: int
-    evaluations: dict[float, float]
+    evaluations: dict[float, ObservableRecord]  # each evaluated alpha's record
     unconverged: tuple[float, ...]  # the evaluated alphas whose run did not converge
 
 
@@ -157,7 +157,7 @@ def find_alpha_max(
         alpha_m=alpha_m,
         entropy_max=entropy_max,
         n_evaluations=len(records),
-        evaluations={alpha: r.entropy for alpha, r in ordered},
+        evaluations=dict(ordered),
         unconverged=tuple(alpha for alpha, r in ordered if not r.converged),
     )
 

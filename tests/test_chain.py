@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinboson_nrg import DomainError, build_chain, energy_scale
+from spinboson_nrg import DomainError, build_chain
 
 
 def test_xi0_closed_form_lambda_two():
@@ -50,12 +50,6 @@ def test_coefficients_local_in_n():
     long = build_chain(1.8, 40)
     assert np.array_equal(short.xi, long.xi[:20])
     assert np.array_equal(short.hop, long.hop[:20])
-
-
-def test_energy_scale_values():
-    assert energy_scale(2.0, 1) == 1.0
-    assert energy_scale(2.0, 21) == pytest.approx(2.0 ** -10, rel=1e-14)
-    assert energy_scale(1.5, 3) == pytest.approx(1.0 / 1.5, rel=1e-14)
 
 
 def test_invalid_lambda():

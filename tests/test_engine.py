@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from spinboson_nrg import (
     SpinBosonPoint,
     add_site,
     build_chain,
-    energy_scale,
+    entanglement_entropy,
     exact_ground,
     init_impurity_site,
     init_operator_blocks,
@@ -27,7 +28,7 @@ from spinboson_nrg import (
 import spinboson_nrg.engine as engine_mod
 from spinboson_nrg.engine import DEGENERACY_TOL, ETA, PARTICLE_HOLE, SITE_ONE
 from spinboson_nrg.engine import SPIN_FLIP
-from spinboson_nrg.engine import _plateau_status
+from spinboson_nrg.engine import _n_star, _plateau_status
 from spinboson_nrg.engine import rotate
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, UP
 from spinboson_nrg.oracle import full_hamiltonian
@@ -273,9 +274,10 @@ class TestRun:
         state, report = run(k, cfg)
         assert report.converged
         assert report.scale_met and report.plateau_met
-        dr = renormalized_tunneling(p)
-        assert energy_scale(cfg.lam, report.n_m) < ETA * dr
+        assert report.n_m > report.n_star
         # solving 2^(-(N-1)/2) < ETA * Delta_r requires at least 31 sites
+        dr = renormalized_tunneling(p)
+        assert report.n_star == pytest.approx(1.0 - 2.0 * math.log2(ETA * dr))
         assert report.n_m >= 31
 
     def test_unconverged_flagged_not_raised(self):
@@ -292,8 +294,35 @@ class TestRun:
         state, report = run(k, NRGConfig(lam=1.5, n_keep=100))
         assert report.converged
         assert report.n_m < 300
-        # omega must undercut ETA * Delta_r ~ 2e-16
-        assert report.omega_final < ETA * renormalized_tunneling(p)
+        # omega_N must undercut ETA * Delta_r ~ 2e-16
+        assert report.n_m > report.n_star
+
+    def test_alpha_near_one_converges(self):
+        # ln Delta_r = ln 2 + 1000 ln 0.04 ~ -3218: Delta_r is far below the
+        # float range, N* ~ 2800, and omega_N underflows to 0.0 near n = 649
+        p = SpinBosonPoint(alpha=0.999, epsilon=0.0, delta_ratio=0.04)
+        with pytest.warns(UserWarning, match="longitudinal"):
+            k = map_to_kondo(p)
+        state, report = run(k, NRGConfig(lam=10.0, n_keep=16, n_max=3000))
+        assert report.converged
+        assert report.delta_r == 0.0 and state.unscale == 0.0
+        assert report.n_m > report.n_star > 2700
+        # the paper's limit: maximal entanglement as alpha -> 1 at eps = 0
+        assert entanglement_entropy(report.sx, report.sz)[2] > 0.999
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 10.0])
+def test_depth_picks_the_float_rule_iteration(lam):
+    """n > N* first holds where Lambda^(-(n-1)/2) < ETA * Delta_r first does."""
+    for ratio in (0.01, 0.04, 0.1):
+        for alpha in np.linspace(0.01, 0.99, 99):
+            p = SpinBosonPoint(alpha=float(alpha), epsilon=0.0, delta_ratio=ratio)
+            target = ETA * renormalized_tunneling(p)
+            assert target >= sys.float_info.min  # a normal float
+            n = 1
+            while lam ** (-(n - 1) / 2.0) >= target:
+                n += 1
+            assert n == max(1, math.floor(_n_star(p, lam)) + 1), (alpha, ratio)
 
 
 @pytest.mark.parametrize("name", ["lam"])

@@ -232,6 +232,9 @@ class TestFindAlphaMax:
         assert abs(result.alpha_m - 0.37) <= 0.01
         assert result.entropy_max == pytest.approx(1.0, abs=1e-3)
         assert result.n_evaluations == len(result.evaluations)
+        for alpha, rec in result.evaluations.items():
+            assert rec.alpha == alpha
+            assert rec.entropy == 1.0 - (alpha - 0.37) ** 2
         assert result.unconverged == ()
 
     def test_unconverged_evaluations_reported(self, monkeypatch):

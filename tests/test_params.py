@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from spinboson_nrg import (
     noninteracting_reference,
     renormalized_tunneling,
 )
-from spinboson_nrg.params import OMEGA_C
+from spinboson_nrg.params import OMEGA_C, log_renormalized_tunneling
 
 
 class TestSpinBosonPoint:
@@ -137,11 +138,15 @@ class TestRenormalizedTunneling:
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_underflow_clamped_and_warns(self):
+    def test_below_float_range_reads_zero_without_warning(self):
         p = SpinBosonPoint(alpha=1 - 1e-9, epsilon=0.0, delta_ratio=0.04)
-        with pytest.warns(RuntimeWarning, match="underflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             dr = renormalized_tunneling(p)
-        assert dr > 0.0
+            log_dr = log_renormalized_tunneling(p)
+        assert dr == 0.0
+        assert math.isfinite(log_dr)
+        assert log_dr == pytest.approx(math.log(OMEGA_C) + 1e9 * math.log(0.04))
 
 
 class TestNoninteractingReference:

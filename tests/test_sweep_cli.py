@@ -52,7 +52,7 @@ class TestRunPoint:
         assert 0.0 <= r.entropy <= 1.0
         assert r.norm <= 1.0 + 1e-8
         assert r.lam == FAST.lam and r.n_keep == FAST.n_keep
-        # the recorded delta_r is the scale the stopping rule compared against
+        # the recorded delta_r is the run's, whose logarithm set the stopping depth
         p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
         cfg = NRGConfig(n_keep=16, n_max=2)
         assert run_point(p, cfg).delta_r == run(map_to_kondo(p), cfg)[1].delta_r
@@ -362,7 +362,12 @@ class TestCLI:
 
         def fake(eps_over_delta, delta_ratio, cfg):
             calls.append((eps_over_delta, delta_ratio, cfg))
-            return AlphaMaxResult(0.42, 0.9, 3, {0.3: 0.8, 0.42: 0.9, 0.5: 0.85}, ())
+            entropies = {0.3: 0.8, 0.42: 0.9, 0.5: 0.85}
+            records = {
+                a: sweep_mod._record(SpinBosonPoint(a, 0.1, 0.04), cfg, entropy=e)
+                for a, e in entropies.items()
+            }
+            return AlphaMaxResult(0.42, 0.9, 3, records, ())
 
         monkeypatch.setattr(cli_mod, "find_alpha_max", fake)
         out = tmp_path / "amax.json"
