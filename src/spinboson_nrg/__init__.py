@@ -41,8 +41,6 @@ from .params import (
     DomainError,
     KondoParams,
     SpinBosonPoint,
-    alpha_from_kondo,
-    kondo_to_spinboson,
     map_to_kondo,
     noninteracting_reference,
     renormalized_tunneling,
@@ -78,7 +76,6 @@ __all__ = [
     "SweepSpec",
     "WilsonChain",
     "add_site",
-    "alpha_from_kondo",
     "build_basis",
     "build_chain",
     "compare_with_nrg",
@@ -89,7 +86,6 @@ __all__ = [
     "hellmann_feynman_check",
     "init_impurity_site",
     "init_operator_blocks",
-    "kondo_to_spinboson",
     "map_to_kondo",
     "noninteracting_reference",
     "preset",

@@ -37,9 +37,10 @@ the other blocks: G X G^-1 has the block sym(t1) X[t1, t2] sym(t2) at
 
 Rescaling convention: stored sector energies at iteration N are
 (E - E0) / IterationState.unscale, with the current ground state at zero;
-unscale is omega_N = Lambda^(-(N-1)/2) for N >= 1 and 1 for N <= 0.  Only
-`_extend` applies it, by the step factor sqrt(Lambda) (1 up to N = 1); omega_N
-is never a divisor, as it underflows (to 0.0 from N = 649 at Lambda = 10).  The
+unscale is omega_N = Lambda^(-(N-1)/2) for N >= 1 and 1 for N <= 0, computed
+in closed form by `_extend`, which rescales the old energies by the step
+factor sqrt(Lambda) (1 up to N = 1).  omega_N is never a divisor, as it
+underflows to 0.0 (from N = 649 at Lambda = 10, N ~ 2150 at Lambda = 2).  The
 ground shifts are accumulated unrescaled in e0_accumulated, so the absolute
 chain ground energy stays available for energy-derivative checks.
 
@@ -69,8 +70,8 @@ import numpy as np
 from .chain import WilsonChain, build_chain
 from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN, IMP_DN, IMP_UP
 from .fock import LOCAL_STATES, N_EL, PH, PH_SIGN
-from .params import DomainError, KondoParams, SpinBosonPoint, kondo_to_spinboson
-from .params import log_renormalized_tunneling, renormalized_tunneling
+from .params import DomainError, KondoParams, SpinBosonPoint
+from .params import log_renormalized_tunneling, map_to_kondo
 
 
 class EngineError(RuntimeError):
@@ -466,7 +467,7 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
     """
     n_new = state.n + 1
     scale = math.sqrt(lam) if n_new > 1 else 1.0
-    unscale = state.unscale / scale
+    unscale = lam ** (-(n_new - 1) / 2) if n_new > 1 else 1.0
     old = state.blocks
 
     layout: Layout = {}
@@ -599,7 +600,7 @@ class ConvergenceReport:
     the raw sign), averaged over the last two iterations when even_odd_averaged,
     the plateau of a flow alternating with the parity of n.  They are results
     only when converged: scale_met (n_m > n_star, the depth `_n_star`) and
-    plateau_met (`_plateau_status`).  delta_r is 0.0 below the float range.
+    plateau_met (`_plateau_status`).
     drift_sx, drift_sz: max - min of the raw values over the last
     PLATEAU_WINDOW iterations.  history: (n, sx_raw, sz_raw) per iteration
     0 .. n_m, in the raw sign.
@@ -610,7 +611,6 @@ class ConvergenceReport:
     scale_met: bool
     plateau_met: bool
     even_odd_averaged: bool
-    delta_r: float
     n_star: float
     drift_sx: float
     drift_sz: float
@@ -645,20 +645,19 @@ def _n_star(p: SpinBosonPoint, lam: float) -> float:
     return 1.0 - 2.0 * (math.log(ETA) + log_renormalized_tunneling(p)) / math.log(lam)
 
 
-def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
-    """Iterate past the depth `_n_star` until the observables plateau.
+def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
+    """Solve the point p: iterate its Kondo couplings (`map_to_kondo`) past
+    p's depth `_n_star` until the observables plateau.
 
-    The report carries N* and Delta_r of the spin-boson point k maps back to.
     Reaching n_max short of both criteria is not an error; the report carries
     converged=False and the drift over the last window.
     """
     from .observables import ground_expectation_raw, init_operator_blocks, propagate
 
     chain = build_chain(cfg.lam, cfg.n_max)
-    p = kondo_to_spinboson(k)
     n_star = _n_star(p, cfg.lam)
 
-    state = init_impurity_site(k)
+    state = init_impurity_site(map_to_kondo(p))
     ops = init_operator_blocks(state)
     sx0, sz0 = ground_expectation_raw(state, ops)
     history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
@@ -688,7 +687,6 @@ def run(k: KondoParams, cfg: NRGConfig) -> tuple[IterationState, ConvergenceRepo
         scale_met=scale_met,
         plateau_met=plateau_met,
         even_odd_averaged=even_odd,
-        delta_r=renormalized_tunneling(p),
         n_star=n_star,
         drift_sx=_drift([h[1] for h in window]),
         drift_sz=_drift([h[2] for h in window]),

@@ -178,13 +178,6 @@ def spin_flip_matrix(basis: FockBasis, sector: Sector) -> np.ndarray:
     return m
 
 
-def eigen_spectra(
-    k: KondoParams, chain: WilsonChain, sites: int
-) -> tuple[dict[Sector, np.ndarray], FockBasis]:
-    blocks, basis = sector_hamiltonians(k, chain, sites)
-    return {s: np.linalg.eigvalsh(b) for s, b in blocks.items()}, basis
-
-
 @dataclass
 class ExactGround:
     e0: float
@@ -193,10 +186,18 @@ class ExactGround:
     degeneracy: int
 
 
+def _solve(k: KondoParams, chain: WilsonChain, sites: int):
+    """Each sector's eigenvalues and eigenvectors, and the basis."""
+    blocks, basis = sector_hamiltonians(k, chain, sites)
+    return {s: np.linalg.eigh(b) for s, b in blocks.items()}, basis
+
+
 def exact_ground(k: KondoParams, chain: WilsonChain, sites: int) -> ExactGround:
     """Exact ground energy and raw observables, multiplet averaged."""
-    blocks, basis = sector_hamiltonians(k, chain, sites)
-    eig = {s: np.linalg.eigh(b) for s, b in blocks.items()}
+    return _ground(*_solve(k, chain, sites))
+
+
+def _ground(eig, basis: FockBasis) -> ExactGround:
     e0 = min(w[0] for w, _ in eig.values())
     tol = _GROUND_TOL * max(1.0, abs(e0))
 
@@ -229,7 +230,6 @@ class HFCheck:
     residual: float
     derivative: float
     sx_raw: float
-    degeneracy_changed: bool
 
 
 def hellmann_feynman_check(
@@ -244,18 +244,13 @@ def hellmann_feynman_check(
     jperp = k.jperp
     dj = 1e-4 * jperp if dj is None else dj
     base = exact_ground(k, chain, sites)
-    up = exact_ground(
-        k_with_jperp(k, jperp + dj), chain, sites
-    )
-    dn = exact_ground(
-        k_with_jperp(k, jperp - dj), chain, sites
-    )
+    up = exact_ground(k_with_jperp(k, jperp + dj), chain, sites)
+    dn = exact_ground(k_with_jperp(k, jperp - dj), chain, sites)
     derivative = (up.e0 - dn.e0) / dj
     return HFCheck(
         residual=abs(base.sx_raw - derivative),
         derivative=derivative,
         sx_raw=base.sx_raw,
-        degeneracy_changed=not (base.degeneracy == up.degeneracy == dn.degeneracy),
     )
 
 
@@ -270,7 +265,6 @@ class NRGComparison:
     sx_dev: float
     sz_dev: float
     passed: bool
-    sectors_compared: int
 
 
 def compare_with_nrg(
@@ -284,8 +278,8 @@ def compare_with_nrg(
     """
     from .observables import ground_expectation_raw, init_operator_blocks, propagate
 
-    spectra, _ = eigen_spectra(k, chain, sites)
-    exact = exact_ground(k, chain, sites)
+    eig, basis = _solve(k, chain, sites)
+    exact = _ground(eig, basis)
 
     state: IterationState = init_impurity_site(k)
     ops = init_operator_blocks(state)
@@ -296,9 +290,7 @@ def compare_with_nrg(
         ops = propagate(ops, state)
 
     max_dev = 0.0
-    count = 0
-    for sec in sorted(spectra):
-        exact_w = spectra[sec]
+    for sec, (exact_w, _) in sorted(eig.items()):
         blk = state.blocks.get(sec)
         if blk is None:
             if n_keep is None:
@@ -310,7 +302,6 @@ def compare_with_nrg(
             max_dev = np.inf
         if m:
             max_dev = max(max_dev, float(np.max(np.abs(exact_w[:m] - nrg_w[:m]))))
-        count += 1
 
     sx_raw, sz_raw = ground_expectation_raw(state, ops)
     sx_dev = abs(sx_raw - exact.sx_raw)
@@ -322,5 +313,4 @@ def compare_with_nrg(
         passed=bool(
             n_keep is None and max_dev <= 1e-9 and sx_dev <= 1e-9 and sz_dev <= 1e-9
         ),
-        sectors_compared=count,
     )

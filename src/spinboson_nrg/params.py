@@ -1,4 +1,4 @@
-"""Parameter translation between the dissipative two-level system and the
+"""Parameter translation from the dissipative two-level system to the
 anisotropic Kondo model, plus analytic reference quantities.
 
 Units: the conduction band half-bandwidth D0 is the energy unit, so the flat
@@ -111,23 +111,6 @@ def map_to_kondo(p: SpinBosonPoint) -> KondoParams:
             stacklevel=2,
         )
     return k
-
-
-def alpha_from_kondo(k: KondoParams) -> float:
-    """Inverse of the coupling map: alpha from rho0*J_par."""
-    delta = -math.atan(0.25 * math.pi * k.rho0_jpar)
-    return (1.0 + 2.0 * delta / math.pi) ** 2
-
-
-def kondo_to_spinboson(k: KondoParams) -> SpinBosonPoint:
-    """Inverse translation; valid only where SpinBosonPoint invariants hold."""
-    alpha = alpha_from_kondo(k)
-    delta_abs = k.jperp
-    return SpinBosonPoint(
-        alpha=alpha,
-        epsilon=k.field / delta_abs,
-        delta_ratio=k.rho0_jperp,
-    )
 
 
 def log_renormalized_tunneling(p: SpinBosonPoint) -> float:

@@ -170,7 +170,7 @@ def test_criterion_5_asymmetric_behavior(asymmetric_grid, monkeypatch):
 def test_criterion_6_hellmann_feynman_full_scale():
     p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
     k = map_to_kondo(p)
-    state, report = run(k, DEFAULTS)
+    state, report = run(p, DEFAULTS)
     n_fixed = report.n_m
 
     def chain_ground_energy(kk):

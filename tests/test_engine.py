@@ -269,9 +269,8 @@ class TestFixedPoint:
 class TestRun:
     def test_stopping_rule_alpha_half(self):
         p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
-        k = map_to_kondo(p)
         cfg = NRGConfig()
-        state, report = run(k, cfg)
+        state, report = run(p, cfg)
         assert report.converged
         assert report.scale_met and report.plateau_met
         assert report.n_m > report.n_star
@@ -282,16 +281,14 @@ class TestRun:
 
     def test_unconverged_flagged_not_raised(self):
         p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
-        k = map_to_kondo(p)
-        state, report = run(k, NRGConfig(n_max=10))
+        state, report = run(p, NRGConfig(n_max=10))
         assert not report.converged
         assert report.n_m == 10
         assert math.isfinite(report.sx) and math.isfinite(report.sz)
 
     def test_lambda_15_alpha_09_terminates(self):
         p = SpinBosonPoint(alpha=0.9, epsilon=0.0, delta_ratio=0.04)
-        k = map_to_kondo(p)
-        state, report = run(k, NRGConfig(lam=1.5, n_keep=100))
+        state, report = run(p, NRGConfig(lam=1.5, n_keep=100))
         assert report.converged
         assert report.n_m < 300
         # omega_N must undercut ETA * Delta_r ~ 2e-16
@@ -302,10 +299,9 @@ class TestRun:
         # float range, N* ~ 2800, and omega_N underflows to 0.0 near n = 649
         p = SpinBosonPoint(alpha=0.999, epsilon=0.0, delta_ratio=0.04)
         with pytest.warns(UserWarning, match="longitudinal"):
-            k = map_to_kondo(p)
-        state, report = run(k, NRGConfig(lam=10.0, n_keep=16, n_max=3000))
+            state, report = run(p, NRGConfig(lam=10.0, n_keep=16, n_max=3000))
         assert report.converged
-        assert report.delta_r == 0.0 and state.unscale == 0.0
+        assert renormalized_tunneling(p) == 0.0 and state.unscale == 0.0
         assert report.n_m > report.n_star > 2700
         # the paper's limit: maximal entanglement as alpha -> 1 at eps = 0
         assert entanglement_entropy(report.sx, report.sz)[2] > 0.999
@@ -323,6 +319,24 @@ def test_depth_picks_the_float_rule_iteration(lam):
             while lam ** (-(n - 1) / 2.0) >= target:
                 n += 1
             assert n == max(1, math.floor(_n_star(p, lam)) + 1), (alpha, ratio)
+
+
+@pytest.mark.parametrize("lam, depth", [(1.5, 3700), (2.0, 2200), (10.0, 700)])
+def test_unscale_is_omega_n_in_closed_form(lam, depth):
+    """unscale is Lambda^(-(N-1)/2) exactly, and 0.0 once that underflows."""
+    chain = build_chain(lam, 6)
+    st = init_impurity_site(GENERIC)
+    for n in range(1, 7):
+        st = add_site(st, chain)
+        assert st.unscale == lam ** (-(n - 1) / 2)
+    # one step from deep in the chain, where a product of step factors would
+    # stick at the smallest subnormal instead of reaching 0.0
+    for n, omega in ((depth - 100, lam ** (-(depth - 101) / 2)), (depth, 0.0)):
+        block = SectorBlock(np.zeros(1), np.eye(1))
+        prev = IterationState(
+            n - 1, {Sector(0, 1): block}, 0.0, unscale=lam ** (-(n - 2) / 2)
+        )
+        assert engine_mod._extend(prev, [], lam).unscale == omega
 
 
 @pytest.mark.parametrize("name", ["lam"])

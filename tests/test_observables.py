@@ -131,7 +131,8 @@ class TestExpectationValues:
 
     def test_sign_convention(self):
         # run alone flips the raw read-out of the last iteration
-        _, report = run(GENERIC, NRGConfig(n_max=8))
+        p = SpinBosonPoint(alpha=0.5, epsilon=0.25, delta_ratio=0.1)
+        _, report = run(p, NRGConfig(n_max=8))
         assert not report.even_odd_averaged
         n, sx_raw, sz_raw = report.history[-1]
         assert n == report.n_m
@@ -146,7 +147,7 @@ class TestExpectationValues:
         p = SpinBosonPoint(alpha=0.2, epsilon=0.0, delta_ratio=0.04)
         k = map_to_kondo(p)
         cfg = NRGConfig()
-        _, report = run(k, cfg)
+        _, report = run(p, cfg)
 
         def e0(kk):
             chain = build_chain(cfg.lam, report.n_m)

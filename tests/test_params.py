@@ -8,8 +8,6 @@ from spinboson_nrg import (
     DomainError,
     KondoParams,
     SpinBosonPoint,
-    alpha_from_kondo,
-    kondo_to_spinboson,
     map_to_kondo,
     noninteracting_reference,
     renormalized_tunneling,
@@ -102,20 +100,6 @@ class TestMapToKondo:
         with pytest.warns(UserWarning, match="longitudinal"):
             k = map_to_kondo(SpinBosonPoint(alpha=0.99, epsilon=0.0, delta_ratio=0.04))
         assert not k.in_longitudinal_sector
-
-    def test_round_trip(self):
-        for alpha in np.linspace(0.05, 0.95, 19):
-            for eps in (0.0, 0.3, 2.0):
-                p = SpinBosonPoint(alpha=float(alpha), epsilon=eps, delta_ratio=0.04)
-                back = kondo_to_spinboson(map_to_kondo(p))
-                assert back.alpha == pytest.approx(p.alpha, abs=1e-12)
-                assert back.epsilon == pytest.approx(p.epsilon, abs=1e-12)
-                assert back.delta_ratio == p.delta_ratio
-
-    def test_alpha_from_kondo_branch(self):
-        # the (-pi/2, 0) phase-shift branch maps (0, inf) couplings to (1, 0)
-        assert alpha_from_kondo(KondoParams(0.01, 1e-6, 0.0)) == pytest.approx(1.0, abs=1e-5)
-        assert alpha_from_kondo(KondoParams(0.01, 1e6, 0.0)) == pytest.approx(0.0, abs=1e-5)
 
 
 class TestRenormalizedTunneling:

@@ -17,10 +17,9 @@ from spinboson_nrg import (
     NRGConfig,
     SpinBosonPoint,
     SweepSpec,
-    map_to_kondo,
     preset,
     read_json_records,
-    run,
+    renormalized_tunneling,
     run_point,
     run_sweep,
     verify,
@@ -52,10 +51,17 @@ class TestRunPoint:
         assert 0.0 <= r.entropy <= 1.0
         assert r.norm <= 1.0 + 1e-8
         assert r.lam == FAST.lam and r.n_keep == FAST.n_keep
-        # the recorded delta_r is the run's, whose logarithm set the stopping depth
-        p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
+        assert r.delta_r == renormalized_tunneling(POINT)
+
+    @pytest.mark.filterwarnings("ignore:.*longitudinal.*:UserWarning")
+    def test_delta_r_is_the_points_own(self):
+        # Delta_r of the row's own alpha and Delta/wc, bit for bit: no run
+        # maps its couplings back to a point
         cfg = NRGConfig(n_keep=16, n_max=2)
-        assert run_point(p, cfg).delta_r == run(map_to_kondo(p), cfg)[1].delta_r
+        for ratio in (0.01, 0.04, 0.1):
+            for alpha in np.linspace(0.05, 0.95, 19):
+                p = SpinBosonPoint(alpha=float(alpha), epsilon=0.0, delta_ratio=ratio)
+                assert run_point(p, cfg).delta_r == renormalized_tunneling(p), p
 
     def test_symmetric_point_band(self, sample_record):
         r = sample_record
