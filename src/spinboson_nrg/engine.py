@@ -1,38 +1,55 @@
 """Iterative block diagonalization of the impurity + chain Hamiltonian sequence.
 
-Iteration N covers the impurity spin and chain sites 0 .. N.  Total charge
-relative to half filling (q) and twice the total spin projection (two_sz) are
-conserved, so every iteration is diagonalized sector by sector.
+Iteration N covers the impurity spin and chain sites 0 .. N.  Twice the total
+spin projection (two_sz) is conserved, and so is the charge isospin of the
+chain, I^+ = sum_n (-1)^n f^dag_{n up} f^dag_{n dn} with I_z = q/2 (q the
+charge relative to half filling): the staggered sign makes the hopping commute
+with I^+, and the impurity, the site-0 exchange, the field and the carried
+operators are isospin scalars.  The kept states are therefore multiplets, and
+each iteration is diagonalized once per (I, two_sz), on the highest weights
+(I_z = I) alone.  A block is keyed by their sector, Sector(q = 2I, two_sz),
+and each of its levels stands for mult = 2I + 1 states.
 
-Each iteration is one extension step: on the product of the kept states with
-the four states of a new site it diagonalizes
+Each iteration is one extension step: on the product of the kept multiplets
+with the new site it diagonalizes
 
     H = scale * diag(E_old) + sum_k c_k (A_k (x) B_k + h.c.),
 
 with A_k a BlockOp on the old block (or its identity, never materialised) and
-B_k a site matrix.  One routine, `rotate`, takes any A (x) B into the kept
-eigenbasis: the f^dag of the newest site and the carried observables alike.
-Each step stores once where every (previous sector, site state) pair sits in
-the product basis, IterationState.layout, and the Hamiltonian assembly and
-every rotation read that map.  The first step extends the bare impurity
-(iteration -1, energies +-h/2) by site 0 with the Kondo exchange; every later
-step adds the hopping xi_N (f^dag_new f_old + h.c.).
+B_k a site matrix on four channels.  On site n the empty state and (-1)^n
+times the double form an isospin doublet, and up and down are singlets, so
+an old multiplet I couples to the site in four ways, named after the site
+state they hold at the highest weight: UP and DN (I), DOUBLE (I + 1/2) and,
+for I > 0, EMPTY (I - 1/2, the empty site with weight sqrt(2I/(2I+1))); the
+`fock` tables DQ and DTSZ give their (2I, two_sz) shifts.  An isospin-scalar
+site matrix acts on the channels as on the site states.  f^dag of the newest
+site, a rank-1/2 tensor, is carried as its highest-weight blocks
+<I+1/2, I+1/2| f^dag |I, I>, and `_site_fdag` and `_site_raising` hold the
+spin-1/2 recoupling factors by which it enters the next f^dag and the
+hopping.  One routine, `rotate`, takes any A (x) B into the kept eigenbasis:
+the f^dag of the newest site and the carried observables alike.  Each step
+stores once where every (previous sector, channel) pair sits in the product
+basis, IterationState.layout, and the assembly and every rotation read that
+map.  The first step extends the bare impurity (iteration -1, energies
++-h/2) by site 0 with the Kondo exchange; every later step adds the hopping
+xi_N (f^dag_new f_old + h.c.).
 
-Z2 symmetries: each generator G in IterationState.symmetries maps the
-sector (q, two_sz) to (+-q, +-two_sz) and acts on every site as a signed
-permutation of its four states (`Z2`).  The particle-hole map P
-(`fock.PH`, (q, m) -> (-q, m)) holds at every field; the spin flip F
-(`fock.FLIP`, (q, m) -> (q, -m)) only at zero field.  A kept state j of
-sector s obeys G|j, s> = sym[j] |j, G(s)>, with sym the +-1 array the
-block stores for G, so in the product basis G is a signed permutation:
-the rows of (s, loc) go to the rows of (G(s), perm[loc]), times sym and
-the site sign.  A step diagonalizes one representative per orbit of
-sectors, the largest; a sector that generators fix is split into their
-character blocks (four at zero field for (0, 0)).  Every other sector of the
-orbit gets the same energies and the vectors G V, so orbit partners are
+Spin flip: at zero field the flip F of every spin (`fock.FLIP`, (q, m) ->
+(q, -m)) commutes with H; IterationState.symmetries holds it, or nothing at
+nonzero field.  F I^+ F = -I^+ with the `fock` conventions, so F keeps I and
+I_z and maps highest weights to highest weights, only flipping the sign of
+I^+-.  On the channels it is still the site table (`Z2`): DOUBLE takes the
+double's -1, and on EMPTY the -1 that F gives the lowered old state cancels
+it.  A kept multiplet j of sector s obeys G|j, s> = sym[j] |j, G(s)>, with
+sym the +-1 array the block stores for the generator G, so in the product
+basis G is a signed permutation: the rows of (s, loc) go to the rows of
+(G(s), perm[loc]), times sym and the channel sign.  A step diagonalizes one
+representative per orbit of sectors, the largest; a sector that G fixes
+(two_sz = 0) is split into its G-even and G-odd blocks.  The other sector of
+the orbit gets the same energies and the vectors G V, so orbit partners are
 bitwise degenerate and truncation never separates them.  Operators are
-rotated into the representative row sectors only, and `fill_images` gives
-the other blocks: G X G^-1 has the block sym(t1) X[t1, t2] sym(t2) at
+rotated into the representative row sectors only, and `fill_images` gives the
+other blocks: G X G^-1 has the block sym(t1) X[t1, t2] sym(t2) at
 (G t1, G t2).  An empty table diagonalizes every sector in full.
 
 Rescaling convention: stored sector energies at iteration N are
@@ -45,8 +62,9 @@ ground shifts are accumulated unrescaled in e0_accumulated, so the absolute
 chain ground energy stays available for energy-derivative checks.
 
 Truncation keeps every state at or below one cut energy E_cut across all
-sectors, the n_keep-th lowest energy moved up to the next clear gap (see
-`truncate`); blocks are ascending, so each sector keeps a prefix.
+sectors, the n_keep-th lowest energy, each multiplet counted 2I + 1 times,
+moved up to the next clear gap (see `truncate`); blocks are ascending, so
+each sector keeps a prefix.
 
 Read-out and verdict: only `run` applies the figures' sign flip to the raw
 ground-state observables and judges convergence, in its `ConvergenceReport`,
@@ -54,7 +72,7 @@ with the fixed constants ETA, PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL.
 
 Fermionic signs: A (x) B means B acting after A.  A site term that changes
 the electron count anticommutes past the fermions of the block state A leads
-to; within a sector their parity is constant, so the sign is a per-block
+to; within a multiplet their parity is constant, so the sign is a per-block
 scalar.
 """
 
@@ -62,14 +80,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .chain import WilsonChain, build_chain
-from .fock import DQ, DTSZ, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN, IMP_DN, IMP_UP
-from .fock import LOCAL_STATES, N_EL, PH, PH_SIGN
+from .fock import DQ, DTSZ, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN, IMP_DN, IMP_UP
+from .fock import LOCAL_STATES, N_EL
 from .params import DomainError, KondoParams, SpinBosonPoint
 from .params import log_renormalized_tunneling, map_to_kondo
 
@@ -86,26 +104,25 @@ class Sector(NamedTuple):
 class Z2(NamedTuple):
     """A Z2 symmetry G of every iteration's Hamiltonian.
 
-    G maps the sector (q, two_sz) to (scale[0] q, scale[1] two_sz) and site
-    state loc of site n to sign[n % 2][loc] times state perm[loc]; it moves
-    the bare impurity only through the sector map.
+    G maps the sector (q, two_sz) to (scale[0] q, scale[1] two_sz) and the
+    channel loc of the newest site to sign[loc] times channel perm[loc]; it
+    moves the bare impurity only through the sector map.
     """
 
     scale: tuple[int, int]
     perm: tuple[int, ...]
-    sign: tuple[tuple[float, ...], tuple[float, ...]]  # on even, odd sites
+    sign: tuple[float, ...]
 
     def sector(self, s: Sector) -> Sector:
         return Sector(self.scale[0] * s.q, self.scale[1] * s.two_sz)
 
 
-SPIN_FLIP = Z2((1, -1), FLIP, (FLIP_SIGN, FLIP_SIGN))
-PARTICLE_HOLE = Z2((-1, 1), PH, PH_SIGN)
+SPIN_FLIP = Z2((1, -1), FLIP, FLIP_SIGN)
 
 
 def symmetries_of(k: KondoParams) -> tuple[Z2, ...]:
-    """The generators that commute with H: P always, the flip F at h = 0."""
-    return (SPIN_FLIP, PARTICLE_HOLE) if k.field == 0.0 else (PARTICLE_HOLE,)
+    """The generators that commute with H: the flip F at h = 0, else none."""
+    return (SPIN_FLIP,) if k.field == 0.0 else ()
 
 
 @dataclass(frozen=True)
@@ -147,29 +164,59 @@ class SectorBlock:
     vectors: np.ndarray       # product basis -> eigenbasis, kept columns only
     # per generator of the table, the +-1 of each state: G|j, s> = sym[j] |j, G(s)>
     sym: tuple[np.ndarray, ...] = ()
+    mult: int = 1             # 2I + 1: the states each level stands for
 
     @property
     def kept(self) -> int:
-        """Number of kept states, the length of energies."""
-        return len(self.energies)
+        """Number of kept states, each multiplet counted mult times."""
+        return len(self.energies) * self.mult
 
 
 # block-sparse operator: (to_sector, from_sector) -> matrix between the kept
-# states of the two sectors; a missing key is a zero block
+# multiplets of the two sectors; a missing key is a zero block
 BlockOp = dict[tuple[Sector, Sector], np.ndarray]
 
-# (previous sector, new-site state) -> (product sector, its rows there)
+# (previous sector, channel) -> (product sector, its rows there)
 Layout = dict[tuple[Sector, int], tuple[Sector, slice]]
 
-# the bare impurity: one state per sector (q = 0, two_sz = +-1)
+# the bare impurity: one isospin singlet per sector (q = 0, two_sz = +-1)
 _BARE_DN, _BARE_UP = Sector(0, IMP_DN), Sector(0, IMP_UP)
 S_MINUS: BlockOp = {(_BARE_DN, _BARE_UP): np.ones((1, 1))}
 S_Z: BlockOp = {(s, s): np.full((1, 1), 0.5 * s.two_sz) for s in (_BARE_DN, _BARE_UP)}
 
-# site matrices on the four-state basis of `fock`
+# isospin-scalar site matrices on the four-state basis of `fock`
 SITE_ONE = np.eye(4)
 SITE_S_PLUS = FDAG_UP @ FDAG_DN.T                 # f^dag_up f_dn
 SITE_S_Z = 0.5 * np.diag(np.array(DTSZ, float))  # (n_up - n_dn) / 2
+FDAG = (FDAG_UP, FDAG_DN)
+
+
+def _site_fdag(f: np.ndarray, q: int) -> np.ndarray:
+    """The site's f^dag_sigma (f = FDAG_UP or FDAG_DN) on the channels of an
+    old multiplet I = q/2, from I to I + 1/2 at the highest weight.
+
+    Only the EMPTY channel holds the empty site, with weight sqrt(q/(q+1)).
+    It also gives the hopping terms in which the old f lowers I.
+    """
+    m = f.copy()
+    m[:, EMPTY] *= math.sqrt(q / (q + 1))
+    return m
+
+
+def _site_raising(f: np.ndarray, q: int) -> np.ndarray:
+    """The hopping's site factor where the old block's f_sigma raises I = q/2
+    by 1/2; f is f^dag_-sigma (FDAG_UP or FDAG_DN).
+
+    Between the highest weights of the EMPTY channel of I + 1/2 and the
+    singlet channel -sigma of I, f_sigma acts on a lowered member of the old
+    multiplet, so by the Wigner-Eckart theorem its reduced element is the
+    highest-weight block of f^dag_-sigma, times the recoupling factor
+    -1/sqrt((q+1)(q+2)).  The staggered signs of the site and of the old
+    block's newest site cancel here.
+    """
+    m = np.zeros((4, 4))
+    m[EMPTY] = f[:, EMPTY] * (-1.0 / math.sqrt((q + 1) * (q + 2)))
+    return m
 
 
 @dataclass
@@ -196,7 +243,7 @@ def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarra
         return np.linalg.eigh(ham)
     except np.linalg.LinAlgError as exc:
         raise EngineError(
-            f"eigensolver failed in sector (q={sector.q}, 2Sz={sector.two_sz}),"
+            f"eigensolver failed in sector (2I={sector.q}, 2Sz={sector.two_sz}),"
             f" dimension {ham.shape[0]}"
         ) from exc
 
@@ -281,13 +328,21 @@ def _diagonalize_by_characters(ham: np.ndarray, sector: Sector, acts):
 def _pieces(layout: Layout, n_old_sites: int, a, b, row_sectors):
     """Nonzero blocks of A (x) B on a product basis over an n_old_sites block.
 
-    Yields the (sector, rows) of the row and of the column block, the signed
-    site matrix element, and the value a holds for the A block, for the row
-    sectors in row_sectors.
+    b is the channel matrix, or a function b(q) of the old column sector's q
+    that gives it.  Yields the (sector, rows) of the row and of the column
+    block, the signed channel matrix element, and the value a holds for the
+    A block, for the row sectors in row_sectors.
     """
-    nonzero = zip(*map(list, np.nonzero(b)))
-    site = [(i, j, float(b[i, j]), (N_EL[i] - N_EL[j]) % 2) for i, j in nonzero]
+    site_of = b if callable(b) else lambda q: b
+    nonzero: dict[int, list] = {}
     for (s_to, s_from), block in a.items():
+        site = nonzero.get(s_from.q)
+        if site is None:
+            m = site_of(s_from.q)
+            site = nonzero[s_from.q] = [
+                (i, j, float(m[i, j]), (N_EL[i] - N_EL[j]) % 2)
+                for i, j in zip(*np.nonzero(m))
+            ]
         for l_to, l_from, elem, odd in site:
             row, col = layout.get((s_to, l_to)), layout.get((s_from, l_from))
             if row is None or col is None or row[0] not in row_sectors:
@@ -300,15 +355,16 @@ def _pieces(layout: Layout, n_old_sites: int, a, b, row_sectors):
 def rotate(
     state: IterationState,
     ops: tuple[BlockOp, ...] | None,
-    b: np.ndarray,
+    b,
     to_sectors: set[Sector] | None = None,
 ) -> list[BlockOp]:
     """A (x) B in the kept eigenbasis of state, for each A in ops.
 
     The A act on the block of the previous iteration and are rotated in one
     pass over the eigenvector slices; ops None stands for that block's
-    identity alone.  B acts on the newest site.  to_sectors, when given,
-    limits the results to the blocks whose row sector it contains.
+    identity alone.  B acts on the channels of the newest site (a matrix, or
+    a function of the old sector's q, as in `_pieces`).  to_sectors, when
+    given, limits the results to the blocks whose row sector it contains.
     """
     if ops is None:
         a = {(s, s): None for s in sorted({s for s, _ in state.layout})}
@@ -346,9 +402,7 @@ def fill_images(state: IterationState, ops: list[BlockOp], conj) -> None:
     = (c, k2, transposed) says that generator i of the table takes ops[k] to
     c ops[k2], or to c ops[k2]^T.  G X G^-1 has the block
     sym(t1) X[t1, t2] sym(t2) at (G t1, G t2).  The generators act in table
-    order on the blocks known before each: after F every row sector with
-    q >= 0 is known, and P then gives the rest, as it exchanges row and
-    column sectors for f^dag.
+    order on the blocks known before each.
     """
     for i, g in enumerate(state.symmetries):
         image = {t: g.sector(t) for t in state.blocks}
@@ -366,42 +420,40 @@ def fill_images(state: IterationState, ops: list[BlockOp], conj) -> None:
 
 
 @lru_cache
-def _fdag_conjugation(g: Z2, parity: int) -> tuple[tuple[float, int, bool], ...]:
-    """G f^dag_sigma G^-1 on a site of the given parity, per spin sigma, as
-    (c, spin, transposed): c times f^dag_spin or its transpose."""
+def _fdag_conjugation(g: Z2) -> tuple[tuple[float, int, bool], ...]:
+    """G f^dag_sigma G^-1 on a site, per spin sigma, as (c, spin, transposed):
+    c times f^dag_spin or its transpose."""
     site = np.zeros((4, 4))
-    site[list(g.perm), list(LOCAL_STATES)] = g.sign[parity]
-    fdag = (FDAG_UP, FDAG_DN)
+    site[list(g.perm), list(LOCAL_STATES)] = g.sign
     return tuple(
         next(
             (c, k, tr)
-            for k, f in enumerate(fdag)
+            for k, f in enumerate(FDAG)
             for tr in (False, True)
             for c in (1.0, -1.0)
             if np.array_equal(site @ op @ site.T, c * (f.T if tr else f))
         )
-        for op in fdag
+        for op in FDAG
     )
 
 
 class _Action:
     """The generators of a step's table on its product basis.
 
-    A row is (old sector s, site state loc, kept index j); generator i sends
-    it to (G_i(s), perm[loc], j) with the sign sym_i(s)[j] times the site sign.
-    The rows of one (s, loc) pair form an entry of their product sector.
+    A row is (old sector s, channel loc, kept index j); generator i sends it
+    to (G_i(s), perm[loc], j) with the sign sym_i(s)[j] times the channel
+    sign.  The rows of one (s, loc) pair form an entry of their product sector.
     """
 
-    def __init__(self, gens, old, layout: Layout, entries, n_site: int):
+    def __init__(self, gens, old, layout: Layout, entries):
         self.gens, self.old, self.layout, self.entries = gens, old, layout, entries
-        self.site_sign = [g.sign[n_site % 2] for g in gens]
         self.moved = [{s: g.sector(s) for s in old} for g in gens]
 
     def rows(self, i: int, t: Sector):
         """Per entry of t: its rows, their images in G_i(t), and the sign."""
-        perm, moved, sign = self.gens[i].perm, self.moved[i], self.site_sign[i]
+        g, moved = self.gens[i], self.moved[i]
         return [
-            (rows, self.layout[moved[s], perm[loc]][1], sign[loc] * self.old[s].sym[i])
+            (rows, self.layout[moved[s], g.perm[loc]][1], g.sign[loc] * self.old[s].sym[i])
             for s, loc, rows in self.entries[t]
         ]
 
@@ -417,7 +469,7 @@ class _Action:
         """The sign that the generators of word, in order, give t's first row."""
         (s, loc, _), sign = self.entries[t][0], 1.0
         for i in word:
-            sign *= self.old[s].sym[i][0] * self.site_sign[i][loc]
+            sign *= self.old[s].sym[i][0] * self.gens[i].sign[loc]
             s, loc = self.moved[i][s], self.gens[i].perm[loc]
         return sign
 
@@ -476,6 +528,8 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
         e = len(old[s].energies)
         for loc in LOCAL_STATES:
             t = Sector(s.q + DQ[loc], s.two_sz + DTSZ[loc])
+            if t.q < 0:  # a singlet has no I - 1/2 channel
+                continue
             parts = entries.setdefault(t, [])
             off = parts[-1][2].stop if parts else 0
             layout[(s, loc)] = (t, slice(off, off + e))
@@ -493,7 +547,7 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
             hams[t][r, k] += m
             hams[t][k, r] += m.T
 
-    action = _Action(state.symmetries, old, layout, entries, n_new)
+    action = _Action(state.symmetries, old, layout, entries)
     eig = {}  # sector -> (energies, vectors, sym)
     for r, orbit in sorted(orbits.items()):
         eig.update(_diagonalize_orbit(hams[r], r, orbit, action))
@@ -502,7 +556,8 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
     return IterationState(
         n=n_new,
         blocks={
-            t: SectorBlock(w - shift, v, sym) for t, (w, v, sym) in sorted(eig.items())
+            t: SectorBlock(w - shift, v, sym, t.q + 1)
+            for t, (w, v, sym) in sorted(eig.items())
         },
         e0_accumulated=state.e0_accumulated + unscale * shift,
         unscale=unscale,
@@ -533,14 +588,15 @@ def init_impurity_site(k: KondoParams) -> IterationState:
 
 
 def _fdag_blocks(state: IterationState) -> list[BlockOp]:
-    """f^dag_up and f^dag_dn of the newest site in the kept eigenbasis.
+    """f^dag_up and f^dag_dn of the newest site in the kept eigenbasis, as
+    their highest-weight blocks from I to I + 1/2.
 
     Both are rotated into the representative row sectors only; `fill_images`
     gives the other blocks.
     """
     reps = state.representatives()
-    fdag = [rotate(state, None, f, reps)[0] for f in (FDAG_UP, FDAG_DN)]
-    conj = [_fdag_conjugation(g, state.n % 2) for g in state.symmetries]
+    fdag = [rotate(state, None, partial(_site_fdag, f), reps)[0] for f in FDAG]
+    conj = [_fdag_conjugation(g) for g in state.symmetries]
     fill_images(state, fdag, conj)
     return fdag
 
@@ -549,35 +605,39 @@ def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
     """Extend the chain by one site and rediagonalize every sector.
 
     Builds the rescaled Hamiltonian sqrt(Lambda) * H_N + xi_N * (hopping) on
-    the kept-states x new-site product basis; f_old is the f^dag of the
-    previous newest site in the kept eigenbasis (`_fdag_blocks`), transposed.
+    the kept-multiplets x channels product basis.  Per spin sigma the old
+    f_sigma enters twice: lowering I, as the transpose of the previous newest
+    site's f^dag_sigma blocks (`_fdag_blocks`) with `_site_fdag`, and raising
+    I, through the f^dag_sigma blocks themselves with `_site_raising`.
     """
     if state.n + 1 > chain.length:
         raise EngineError(
             f"chain provides {chain.length} hoppings, cannot add site {state.n + 1}"
         )
     xi = chain.coupling(state.n)
-    terms = [
-        (xi, {(s, t): m.T for (t, s), m in blocks.items()}, f)
-        for blocks, f in zip(_fdag_blocks(state), (FDAG_UP, FDAG_DN))
-    ]
+    terms = []
+    for blocks, f in zip(_fdag_blocks(state), FDAG):
+        lowering = {(s, t): m.T for (t, s), m in blocks.items()}
+        terms.append((xi, lowering, partial(_site_fdag, f)))
+        terms.append((xi, blocks, partial(_site_raising, f)))
     return _extend(state, terms, chain.lam)
 
 
 def truncate(state: IterationState, n_keep: int) -> IterationState:
     """Retain the globally lowest n_keep states across all sectors.
 
-    The cut energy is that of the n_keep-th lowest state, moved up to the
-    first gap e[i+1] - e[i] >= DEGENERACY_TOL * max(1, |e[i]|), so a
-    near-degenerate multiplet is never split and the kept count may exceed
-    n_keep slightly; with no such gap nothing is cut and state itself is
-    returned.  Each sector keeps its states at or below the cut, a prefix of
-    its ascending block.
+    Each multiplet counts as its mult = 2I + 1 states.  The cut energy is that
+    of the n_keep-th lowest state, moved up to the first gap
+    e[i+1] - e[i] >= DEGENERACY_TOL * max(1, |e[i]|), so a near-degenerate
+    multiplet is never split and the kept count may exceed n_keep slightly;
+    with no such gap nothing is cut and state itself is returned.  Each
+    sector keeps its states at or below the cut, a prefix of its ascending
+    block.
     """
     if n_keep < 16:
         raise DomainError("n_keep must be >= 16")
-    e = np.sort(np.concatenate([b.energies for b in state.blocks.values()]))
-    e = e[n_keep - 1 :]
+    e = np.concatenate([np.repeat(b.energies, b.mult) for b in state.blocks.values()])
+    e = np.sort(e)[n_keep - 1 :]
     gap = np.diff(e) >= DEGENERACY_TOL * np.maximum(1.0, np.abs(e[:-1]))
     if not gap.any():
         return state
@@ -588,7 +648,7 @@ def truncate(state: IterationState, n_keep: int) -> IterationState:
         c = int(np.searchsorted(b.energies, e_cut, side="right"))
         if c:
             sym = tuple(x[:c] for x in b.sym)
-            blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], sym)
+            blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], sym, b.mult)
     return replace(state, blocks=blocks)
 
 

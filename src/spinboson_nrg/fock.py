@@ -4,6 +4,11 @@ A single chain site has four Fock states ordered (empty, up, down, double).
 In the global Jordan-Wigner ordering, orbitals are sorted by site index and,
 within a site, up precedes down; the impurity spin carries no fermion number
 and sits outside the fermion string.
+
+Charge isospin: on site n, I^+_n = (-1)^n f^dag_up f^dag_dn and I_z = DQ/2.
+The empty state and (-1)^n times the double form a doublet (I_z = -1/2 and
++1/2), and up and down are singlets.  The staggered sign makes the hopping
+between neighbouring sites commute with the sum of I^+_n.
 """
 
 import numpy as np
@@ -31,16 +36,9 @@ FDAG_DN.flags.writeable = False
 
 # the spin flip F on one site: the image of each local state and its sign.
 # f^dag_dn f^dag_up = -f^dag_up f^dag_dn puts -1 on the double, so that
-# F f^dag_up F = f^dag_dn.
+# F f^dag_up F = f^dag_dn; it also flips the sign of I^+-, F I^+ F = -I^+.
 FLIP = (EMPTY, DN, UP, DOUBLE)
 FLIP_SIGN = (1.0, 1.0, 1.0, -1.0)
-
-# the particle-hole map P on site n, with s = (-1)^n: empty -> double,
-# up -> -s up, dn -> -s dn, double -> -empty.  It takes c_{n sigma} to
-# s sigma c^dag_{n, -sigma}, so the hopping, the site-0 exchange and the
-# impurity field are unchanged.  P^2 is -1 on the empty and double states.
-PH = (DOUBLE, UP, DN, EMPTY)
-PH_SIGN = ((1.0, -1.0, -1.0, -1.0), (1.0, 1.0, 1.0, -1.0))  # even, odd n
 
 # impurity 2*Sz values
 IMP_UP, IMP_DN = 1, -1

@@ -6,9 +6,11 @@ thermodynamic average 2<S_z>).  Both are BlockOps taken into every new
 eigenbasis by the engine's `rotate`, the routine that also carries the
 Hamiltonian's f^dag: at iteration 0 they are S^- (x) s^+ plus its transpose
 and S_z (x) 1 on the bare impurity and site 0, and each later step rotates
-O (x) 1.  Both conserve charge and total spin projection, so their blocks
-are keyed (s, s), and both contain an even number of fermion operators, so
-no sign strings appear when a site is added.
+O (x) 1.  Both are charge-isospin scalars and conserve the total spin
+projection, so their blocks are keyed (s, s) and hold the same matrix on
+every member of a multiplet as on its highest weight, and both contain an
+even number of fermion operators, so no sign strings appear when a site is
+added.
 
 Sign convention: with the Hamiltonian used here the raw ground-state
 correlator <O_x + O_x^dag> is negative and, for a positive field, <2 S_z> is
@@ -57,8 +59,7 @@ def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
     """Rotate O (x) 1 into the kept eigenbasis of the next iteration.
 
     Both operators are rotated in one pass, into the representative sectors
-    only; `fill_images` gives the rest.  O_x and S_z are even under the
-    particle-hole map, and F S_z F = -S_z while F O_x F = O_x.
+    only; `fill_images` gives the rest: F S_z F = -S_z while F O_x F = O_x.
     """
     if state.layout is None or state.n != ops.n + 1:
         raise ValueError(
@@ -80,19 +81,23 @@ def ground_expectation_raw(
 
     Averaging the diagonal over all states within DEGENERACY_TOL of the
     ground removes the eigensolver's arbitrary basis choice in a degenerate
-    subspace.
+    subspace.  Each isospin multiplet weighs its 2I + 1 states, which share
+    the values of its highest weight.
     """
     sx_vals: list[float] = []
     sz_vals: list[float] = []
+    weights: list[int] = []
     for s in sorted(state.blocks):
-        energies = state.blocks[s].energies
+        block = state.blocks[s]
         ox, oz = ops.ox.get((s, s)), ops.oz.get((s, s))
-        for i in np.nonzero(energies <= DEGENERACY_TOL)[0]:
+        for i in np.nonzero(block.energies <= DEGENERACY_TOL)[0]:
             sx_vals.append(0.0 if ox is None else float(ox[i, i]))
             sz_vals.append(0.0 if oz is None else 2.0 * float(oz[i, i]))
+            weights.append(block.mult)
     if not sx_vals:
         raise ValueError("no ground state found below the degeneracy tolerance")
-    return float(np.mean(sx_vals)), float(np.mean(sz_vals))
+    sx, sz = np.average([sx_vals, sz_vals], axis=1, weights=weights)
+    return float(sx), float(sz)
 
 
 def entanglement_entropy(sx: float, sz: float) -> tuple[float, float, float]:

@@ -289,14 +289,21 @@ def compare_with_nrg(
             state = truncate(state, n_keep)
         ops = propagate(ops, state)
 
+    # the charge sector q of the oracle holds the I_z = q/2 member of every
+    # multiplet with 2I >= |q| of the same parity
+    levels: dict[Sector, list[np.ndarray]] = {}
+    for (two_i, two_sz), blk in state.blocks.items():
+        w = state.e0_accumulated + state.unscale * blk.energies
+        for q in range(-two_i, two_i + 1, 2):
+            levels.setdefault(Sector(q, two_sz), []).append(w)
+
     max_dev = 0.0
     for sec, (exact_w, _) in sorted(eig.items()):
-        blk = state.blocks.get(sec)
-        if blk is None:
+        if sec not in levels:
             if n_keep is None:
                 max_dev = np.inf
             continue
-        nrg_w = state.e0_accumulated + state.unscale * blk.energies
+        nrg_w = np.sort(np.concatenate(levels[sec]))
         m = min(len(exact_w), len(nrg_w))
         if n_keep is None and len(exact_w) != len(nrg_w):
             max_dev = np.inf

@@ -12,6 +12,8 @@ internally.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -108,9 +110,19 @@ def map_to_kondo(p: SpinBosonPoint) -> KondoParams:
             " outside the longitudinal sector, the parameter correspondence"
             " is no longer controlled",
             UserWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return k
+
+
+def _caller_stacklevel() -> int:
+    """The warnings stacklevel, seen from the function that calls this one,
+    of the first frame outside this package: the line that called the solver."""
+    package = os.path.dirname(os.path.abspath(__file__)) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame.f_back and os.path.abspath(frame.f_code.co_filename).startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def log_renormalized_tunneling(p: SpinBosonPoint) -> float:

@@ -1,6 +1,7 @@
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,19 +27,20 @@ from spinboson_nrg import (
     truncate,
 )
 import spinboson_nrg.engine as engine_mod
-from spinboson_nrg.engine import DEGENERACY_TOL, ETA, PARTICLE_HOLE, SITE_ONE
-from spinboson_nrg.engine import SPIN_FLIP
+from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, SITE_ONE, SPIN_FLIP
 from spinboson_nrg.engine import _n_star, _plateau_status
 from spinboson_nrg.engine import rotate
-from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, UP
-from spinboson_nrg.oracle import full_hamiltonian
+from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN
+from spinboson_nrg.fock import N_EL, UP
+from spinboson_nrg.oracle import _apply_fdag, full_hamiltonian, sector_hamiltonians
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 
 
 def _global_spectrum(state):
+    # every multiplet counted 2I + 1 times
     return np.sort(
-        np.concatenate([b.energies for b in state.blocks.values()])
+        np.concatenate([np.repeat(b.energies, b.mult) for b in state.blocks.values()])
     )
 
 
@@ -66,7 +68,10 @@ class TestImpuritySite:
         # every sector at zero energy holds one, and each has <S_z> < 0
         oz = init_operator_blocks(st).oz
         ground = {s: b for s, b in st.blocks.items() if b.energies[0] == 0.0}
-        assert len(ground) == 4  # the impurity down with site 0 in any state
+        # the impurity down with site 0 in any state: the empty site and the
+        # double form one isospin doublet, up and down are singlets
+        assert len(ground) == 3
+        assert sum(b.mult for b in ground.values()) == 4
         for s, b in ground.items():
             for i in np.flatnonzero(b.energies <= 1e-12):
                 assert oz[(s, s)][i, i] == pytest.approx(-0.5, abs=1e-12)
@@ -74,7 +79,11 @@ class TestImpuritySite:
     def test_eight_states_in_sectors(self):
         st = init_impurity_site(GENERIC)
         assert sum(b.kept for b in st.blocks.values()) == 8
-        assert len(st.blocks) == 7  # (0,0) is two dimensional
+        # (2I, 2Sz) = (1, +-1) hold one doublet each, (0, 0) two singlets
+        assert len(st.blocks) == 5
+        assert {s: b.mult for s, b in st.blocks.items() if b.mult > 1} == {
+            Sector(1, -1): 2, Sector(1, 1): 2
+        }
 
 
 class TestAddSite:
@@ -118,6 +127,62 @@ class TestAddSite:
             add_site(st, chain)
 
 
+def _fock_ops(sites):
+    """f^dag per orbital (2 site + spin) and the electron parity, on the
+    oracle's Fock space of the impurity and `sites` chain sites."""
+    dim = 1 << (2 * sites)
+    fdag = []
+    for orb in range(2 * sites):
+        m = np.zeros((dim, dim))
+        for occ in range(dim):
+            res = _apply_fdag(occ, orb)
+            if res is not None:
+                m[res[0], occ] = res[1]
+        fdag.append(np.kron(np.eye(2), m))  # the impurity bit is the high one
+    parity = np.diag([(-1.0) ** bin(i % dim).count("1") for i in range(2 * dim)])
+    return fdag, parity
+
+
+def _fock_highest_weights(k, sites):
+    """The last iteration's kept highest weights as Fock vectors of the oracle,
+    built up site by site from the engine's layout and vectors.
+
+    A channel of an old highest weight |J J> (q = 2J) on site n is: UP and DN
+    the parity-signed f^dag_n |J J>, DOUBLE f^dag_n,up f^dag_n,dn |J J>, and
+    EMPTY sqrt(q/(q+1)) |J J> - (-1)^n/sqrt(q (q+1)) f^dag_n,up f^dag_n,dn I^-|J J>.
+    """
+    fdag, parity = _fock_ops(sites)
+    chain = build_chain(2.0, sites)
+    n_orb = 2 * sites
+    vectors = {}
+    for two_sz in (1, -1):  # the bare impurity, every site empty
+        v = np.zeros((2 << n_orb, 1))
+        v[(1 - two_sz) // 2 << n_orb, 0] = 1.0
+        vectors[Sector(0, two_sz)] = v
+    st = init_impurity_site(k)
+    for n in range(sites):
+        up, dn = fdag[2 * n], fdag[2 * n + 1]
+        lower = sum((-1) ** m * fdag[2 * m + 1].T @ fdag[2 * m].T for m in range(n))
+        product = {}
+        for (s, loc), (t, rows) in st.layout.items():
+            v, q = vectors[s], s.q
+            if loc == EMPTY:
+                v = np.sqrt(q / (q + 1)) * v - (-1) ** n / np.sqrt(q * (q + 1)) * (
+                    up @ (dn @ (lower @ v))
+                )
+            elif loc == DOUBLE:
+                v = up @ (dn @ v)
+            else:
+                v = (up if loc == UP else dn) @ (parity @ v)
+            cols = product.setdefault(t, np.zeros((len(v), st.blocks[t].vectors.shape[0])))
+            cols[:, rows] = v
+        vectors = {t: product[t] @ b.vectors for t, b in st.blocks.items()}
+        if n + 1 < sites:
+            st = add_site(st, chain)
+    raise_op = sum((-1) ** m * fdag[2 * m] @ fdag[2 * m + 1] for m in range(sites))
+    return st, vectors, raise_op, chain
+
+
 class TestFermionicSigns:
     @pytest.mark.parametrize(
         "k",
@@ -127,35 +192,20 @@ class TestFermionicSigns:
         ],
     )
     def test_product_assembly_matches_jordan_wigner(self, k):
-        # rebuild the iteration-1 Hamiltonian in the raw occupation basis from
-        # the engine's eigen data and compare elementwise with the oracle's
-        # Jordan-Wigner-ordered construction
-        chain = build_chain(2.0, 2)
-        st0 = init_impurity_site(k)
-        st1 = add_site(st0, chain)
-        ham_oracle, _, _ = full_hamiltonian(k, chain, 2)
-        shift = st1.e0_accumulated - st0.e0_accumulated
-
-        worst = 0.0
-        for sec, blk in st1.blocks.items():
-            v = blk.vectors
-            h_eig = v @ np.diag(blk.energies + shift) @ v.T + st0.e0_accumulated * np.eye(len(blk.energies))
-            # rotate the block factor back from the iteration-0 eigenbasis
-            rot = np.zeros_like(h_eig)
-            raw_index = []
-            for (s0, loc), (t, rows) in st1.layout.items():
-                if t != sec:
-                    continue
-                rot[rows, rows] = st0.blocks[s0].vectors
-                # iteration-0 basis: bare impurity state x site-0 occupation
-                for (bare, loc0), (t0, _) in st0.layout.items():
-                    if t0 == s0:
-                        imp_bit = (1 - bare.two_sz) // 2
-                        raw_index.append(imp_bit * 16 + loc0 + 4 * loc)
-            h_raw = rot @ h_eig @ rot.T
-            ref = ham_oracle[np.ix_(raw_index, raw_index)]
-            worst = max(worst, float(np.max(np.abs(h_raw - ref))))
-        assert worst < 1e-12
+        # embed every kept multiplet of four sites into the oracle's
+        # Jordan-Wigner-ordered Fock space: an orthonormal set of highest
+        # weights, in their sector, each an eigenvector of the oracle's H
+        st, vectors, raise_op, chain = _fock_highest_weights(k, 4)
+        ham, labels, _ = full_hamiltonian(k, chain, 4)
+        for t, blk in st.blocks.items():
+            v = vectors[t]
+            assert blk.mult == t.q + 1
+            np.testing.assert_allclose(v.T @ v, np.eye(v.shape[1]), rtol=0, atol=1e-12)
+            outside = np.any(labels != np.array(t), axis=1)
+            assert np.max(np.abs(v[outside]), initial=0.0) == 0.0
+            assert np.max(np.abs(raise_op @ v)) < 1e-12
+            energies = st.e0_accumulated + st.unscale * blk.energies
+            np.testing.assert_allclose(ham @ v, v * energies, rtol=0, atol=1e-12)
 
 
 class TestTruncate:
@@ -195,12 +245,14 @@ class TestTruncate:
 
     @staticmethod
     def _tuple_sort_counts(state, n_keep):
-        # the reference rule: sort (energy, sector, index) over every state,
-        # move the cut past near-degenerate neighbours, count per sector
+        # the reference rule: sort (energy, sector, index, member) over every
+        # state, a multiplet giving 2I + 1, move the cut past near-degenerate
+        # neighbours, count the states per sector
         entries = sorted(
-            (float(e), s, i)
+            (float(e), s, i, member)
             for s in state.blocks
             for i, e in enumerate(state.blocks[s].energies)
+            for member in range(state.blocks[s].mult)
         )
         cut = min(n_keep, len(entries))
         while cut < len(entries):
@@ -209,7 +261,7 @@ class TestTruncate:
                 break
             cut += 1
         counts = {}
-        for _, s, _ in entries[:cut]:
+        for _, s, _, _ in entries[:cut]:
             counts[s] = counts.get(s, 0) + 1
         return counts
 
@@ -227,7 +279,8 @@ class TestTruncate:
                     self._tuple_sort_counts(st, n_keep)
                 )
                 for s, b in out.blocks.items():
-                    full, c = st.blocks[s], b.kept
+                    full, c = st.blocks[s], len(b.energies)
+                    assert b.mult == full.mult == s.q + 1
                     assert np.array_equal(b.energies, full.energies[:c])
                     assert np.array_equal(b.vectors, full.vectors[:, :c])
                     assert len(b.sym) == len(full.sym)
@@ -324,9 +377,10 @@ def test_depth_picks_the_float_rule_iteration(lam):
 @pytest.mark.parametrize("lam, depth", [(1.5, 3700), (2.0, 2200), (10.0, 700)])
 def test_unscale_is_omega_n_in_closed_form(lam, depth):
     """unscale is Lambda^(-(N-1)/2) exactly, and 0.0 once that underflows."""
-    chain = build_chain(lam, 6)
+    # four untruncated steps; blocks grow fourfold per step
+    chain = build_chain(lam, 4)
     st = init_impurity_site(GENERIC)
-    for n in range(1, 7):
+    for n in range(1, 5):
         st = add_site(st, chain)
         assert st.unscale == lam ** (-(n - 1) / 2)
     # one step from deep in the chain, where a product of step factors would
@@ -373,7 +427,7 @@ def _action(new, old, i, t):
     for (s, loc), (sec, rows) in new.layout.items():
         if sec == t:
             image = new.layout[(g.sector(s), g.perm[loc])][1]
-            sign = g.sign[new.n % 2][loc] * old.blocks[s].sym[i]
+            sign = g.sign[loc] * old.blocks[s].sym[i]
             m[np.r_[image], np.r_[rows]] = sign
     return m
 
@@ -391,7 +445,7 @@ def _oracle_action(g, sites):
             loc = local[((occ >> 2 * n) & 1, (occ >> (2 * n + 1)) & 1)]
             up, dn = code[g.perm[loc]]
             image |= (up << 2 * n) | (dn << (2 * n + 1))
-            sign *= g.sign[n % 2][loc]
+            sign *= g.sign[loc]
         if g.scale[1] < 0:
             imp = 1 - imp
         m[(imp << n_orb) | image, state] = sign
@@ -411,8 +465,7 @@ class TestZ2Symmetry:
         monkeypatch.setattr(engine_mod, "_diagonalize", recording)
         chain = build_chain(2.0, 8)
         st = init_impurity_site(_alpha_04(eps))
-        expected = (SPIN_FLIP, PARTICLE_HOLE) if eps == 0.0 else (PARTICLE_HOLE,)
-        assert st.symmetries == expected
+        assert st.symmetries == ((SPIN_FLIP,) if eps == 0.0 else ())
         for _ in range(8):
             calls.clear()
             new = add_site(st, chain)
@@ -428,9 +481,9 @@ class TestZ2Symmetry:
                 assert sum(dims) == blk.vectors.shape[0]
                 assert len(dims) <= 2 ** len(fixed)
             if Sector(0, 0) in new.blocks:  # on every other iteration
-                # fixed by P, and at zero field by F too
+                # at zero field fixed by F, and split into F-even and F-odd
                 split = len([s for s, _ in calls if s == Sector(0, 0)])
-                assert split == (4 if eps == 0.0 else 2)
+                assert split == (2 if eps == 0.0 else 1)
             st = truncate(new, 120)
 
     def test_images_and_characters_are_exact(self, eps):
@@ -475,7 +528,7 @@ class TestZ2Symmetry:
         for _ in range(8):
             st = truncate(add_site(st, chain), 120)
             full = rotate(st, (ops.ox, ops.oz), SITE_ONE)
-            full += [rotate(st, None, f)[0] for f in (FDAG_UP, FDAG_DN)]
+            full += [rotate(st, None, partial(engine_mod._site_fdag, f))[0] for f in FDAG]
             ops = propagate(ops, st)
             filled = [ops.ox, ops.oz, *engine_mod._fdag_blocks(st)]
             for op, ref in zip(filled, full):
@@ -483,15 +536,68 @@ class TestZ2Symmetry:
                 for key in ref:
                     np.testing.assert_allclose(op[key], ref[key], rtol=0, atol=1e-12)
 
-    def test_particle_hole_commutes_with_oracle_hamiltonian(self, eps):
+    def test_isospin_and_flip_commute_with_oracle_hamiltonian(self, eps):
         k = _alpha_04(eps)
         ham, labels, _ = full_hamiltonian(k, build_chain(2.0, 3), 3)
-        for g in (PARTICLE_HOLE, SPIN_FLIP):
-            m = _oracle_action(g, 3)
-            assert np.array_equal(m @ m.T, np.eye(len(m)))
-            # the sector map: labels of the image states
-            image = np.argmax(np.abs(m), axis=0)
-            assert np.array_equal(labels[image], labels * np.array(g.scale))
-            holds = g in engine_mod.symmetries_of(k)
-            commutator = np.abs(m @ ham - ham @ m).max()
-            assert (commutator < 1e-14) if holds else (commutator > 1e-3)
+        m = _oracle_action(SPIN_FLIP, 3)
+        assert np.array_equal(m @ m.T, np.eye(len(m)))
+        # the sector map: labels of the image states
+        image = np.argmax(np.abs(m), axis=0)
+        assert np.array_equal(labels[image], labels * np.array(SPIN_FLIP.scale))
+        holds = SPIN_FLIP in engine_mod.symmetries_of(k)
+        commutator = np.abs(m @ ham - ham @ m).max()
+        assert (commutator < 1e-14) if holds else (commutator > 1e-3)
+        # the staggered isospin raiser commutes at every field; F flips its sign
+        fdag, _ = _fock_ops(3)
+        raise_op = sum((-1) ** n * fdag[2 * n] @ fdag[2 * n + 1] for n in range(3))
+        assert np.abs(raise_op @ ham - ham @ raise_op).max() < 1e-14
+        assert np.array_equal(m @ raise_op @ m.T, -raise_op)
+
+
+def _two_site_fdag():
+    """f^dag_{n, sigma} on two sites, site 0 first in the Jordan-Wigner order."""
+    parity = np.diag([(-1.0) ** e for e in N_EL])
+    return [
+        [np.kron(f, np.eye(4)) for f in FDAG],
+        [np.kron(parity, f) for f in FDAG],
+    ]
+
+
+class TestChargeSU2:
+    """The charge isospin that the engine's multiplet blocks rely on."""
+
+    def test_hopping_commutes_with_staggered_isospin(self):
+        (up0, dn0), (up1, dn1) = _two_site_fdag()
+        hop = up1 @ up0.T + dn1 @ dn0.T
+        hop = hop + hop.T
+        staggered = up0 @ dn0 - up1 @ dn1  # (-1)^n on site n
+        assert np.abs(hop @ staggered - staggered @ hop).max() == 0.0
+        uniform = up0 @ dn0 + up1 @ dn1
+        assert np.abs(hop @ uniform - uniform @ hop).max() > 0.5
+
+    def test_site_doublet_and_flip_sign(self):
+        raiser = FDAG_UP @ FDAG_DN  # I^+ on an even site
+        assert raiser[DOUBLE, EMPTY] == 1.0 and np.count_nonzero(raiser) == 1
+        flip = np.zeros((4, 4))
+        flip[list(FLIP), [EMPTY, UP, DN, DOUBLE]] = FLIP_SIGN
+        assert np.array_equal(flip @ raiser @ flip.T, -raiser)
+        # f^dag_up and (-1)^n f_dn form a rank-1/2 tensor: [I^+, (-1)^n f_dn]
+        # is f^dag_up on either parity of n
+        for z in (1.0, -1.0):
+            lowered = z * FDAG_DN.T
+            assert np.array_equal(z * raiser @ lowered - lowered @ (z * raiser), FDAG_UP)
+
+    @pytest.mark.parametrize("sites", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_oracle_levels_repeat_in_lower_charge_sectors(self, sites, eps):
+        # a multiplet of isospin I has a member in every sector q = -2I .. 2I
+        hams, _ = sector_hamiltonians(_alpha_04(eps), build_chain(2.0, sites), sites)
+        levels = {s: np.linalg.eigvalsh(h) for s, h in hams.items()}
+        pairs = 0
+        for (q, two_sz), w in levels.items():
+            for outer in (q - 2, q + 2):
+                if abs(outer) > abs(q) and (outer, two_sz) in levels:
+                    pairs += 1
+                    distance = np.abs(levels[(outer, two_sz)][:, None] - w[None, :])
+                    assert distance.min(axis=1).max() < 1e-12
+        assert pairs > 0

@@ -70,14 +70,14 @@ class TestPropagate:
     def test_identity_stays_identity(self):
         chain = build_chain(2.0, 4)
         st = init_impurity_site(GENERIC)
-        eye = {(s, s): np.eye(b.kept) for s, b in st.blocks.items()}
+        eye = {(s, s): np.eye(len(b.energies)) for s, b in st.blocks.items()}
         ops = OperatorBlocks(n=0, ox=dict(eye), oz=dict(eye))
         for _ in range(3):
             st = add_site(st, chain)
             st = truncate(st, 100)
             ops = propagate(ops, st)
             for s, b in st.blocks.items():
-                assert np.max(np.abs(ops.ox[(s, s)] - np.eye(b.kept))) < 1e-12
+                assert np.max(np.abs(ops.ox[(s, s)] - np.eye(len(b.energies)))) < 1e-12
 
     def test_hermiticity_preserved_long_run(self):
         p = SpinBosonPoint(alpha=0.4, epsilon=0.1, delta_ratio=0.04)
@@ -98,15 +98,21 @@ class TestPropagate:
 
     def test_untruncated_blocks_match_direct_evaluation(self):
         # basis-independent data: the per-sector spectrum of the operator
-        # restricted to the sector, computed directly in the oracle basis
+        # restricted to the sector, computed directly in the oracle basis.
+        # O_x is an isospin scalar, so the charge sector q holds the spectrum
+        # of every multiplet block with 2I >= |q| of the same parity
         chain = build_chain(2.0, 3)
         st, ops = _trajectory(GENERIC, chain, 3)
         hams, basis = sector_hamiltonians(GENERIC, chain, 3)
-        for sec in st.blocks:
+        for sec in hams:
             direct = spin_flip_matrix(basis, sec)
-            # a missing block is a zero block
-            m = ops.ox.get((sec, sec), np.zeros_like(direct))
-            w_prop = np.linalg.eigvalsh(m)
+            w_prop = []
+            for s, b in st.blocks.items():
+                if s.two_sz == sec.two_sz and s.q >= abs(sec.q) and (s.q - sec.q) % 2 == 0:
+                    # a missing block is a zero block
+                    m = ops.ox.get((s, s), np.zeros((len(b.energies),) * 2))
+                    w_prop.append(np.linalg.eigvalsh(m))
+            w_prop = np.sort(np.concatenate(w_prop))
             w_direct = np.linalg.eigvalsh(direct)
             assert np.max(np.abs(w_prop - w_direct)) < 1e-10
 

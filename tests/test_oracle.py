@@ -127,8 +127,8 @@ class TestHellmannFeynman:
 class TestCompareWithNRG:
     @pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
     def test_untruncated_pass(self, sites):
-        # sites=1 is the impurity step alone; the field coupling uses P, zero
-        # field F and P
+        # sites=1 is the impurity step alone; at nonzero field the charge
+        # multiplets alone, at zero field the spin flip F too
         chain = build_chain(2.0, sites)
         for k in (GENERIC, ZERO_FIELD):
             cmp = compare_with_nrg(k, chain, sites)

@@ -39,6 +39,12 @@ def sample_record():
 
 
 class TestRunPoint:
+    def test_mapping_warning_names_the_callers_line(self):
+        # outside the longitudinal sector: rho0 J_perp = 0.1 > rho0 J_par
+        with pytest.warns(UserWarning, match="longitudinal") as caught:
+            run_point(SpinBosonPoint(0.95, 0.0, 0.1), NRGConfig(n_max=2))
+        assert [w.filename for w in caught] == [__file__]
+
     def test_deterministic(self, sample_record):
         again = run_point(POINT, FAST)
         assert again == sample_record
