@@ -66,6 +66,16 @@ sectors, the n_keep-th lowest energy, each multiplet counted 2I + 1 times,
 moved up to the next clear gap (see `truncate`); blocks are ascending, so
 each sector keeps a prefix.
 
+Concurrency: the orbits of one iteration are independent eigenproblems.
+`run` diagonalizes them on a thread pool, one thread per usable CPU, largest
+block first, with OpenBLAS held on one thread for the loop (`_orbit_mapper`):
+numpy's `eigh` releases the GIL, and a multithreaded BLAS under the pool
+would oversubscribe the cores.  The results are gathered by sector, so a
+pooled run matches a serial one at the same BLAS thread count bit for bit.
+`add_site` and `_extend` take the mapper, the builtin map by default, as the
+oracle and direct callers use them; `run` stays serial too where numpy's
+OpenBLAS is not found and in the worker processes of a sweep.
+
 Read-out and verdict: only `run` applies the figures' sign flip to the raw
 ground-state observables and judges convergence, in its `ConvergenceReport`,
 with the fixed constants ETA, PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL.
@@ -78,9 +88,14 @@ scalar.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -512,10 +527,13 @@ def _diagonalize_orbit(ham: np.ndarray, r: Sector, orbit, action: _Action):
     return out
 
 
-def _extend(state: IterationState, terms, lam: float | None = None) -> IterationState:
+def _extend(
+    state: IterationState, terms, lam: float | None = None, mapper=map
+) -> IterationState:
     """Add one site: diagonalize scale * diag(E_old) + sum c (A (x) B + h.c.).
 
     terms holds (c, A, B) triples; lam is None only for the impurity step.
+    The orbits are diagonalized through mapper, largest block first.
     """
     n_new = state.n + 1
     scale = math.sqrt(lam) if n_new > 1 else 1.0
@@ -549,8 +567,10 @@ def _extend(state: IterationState, terms, lam: float | None = None) -> Iteration
 
     action = _Action(state.symmetries, old, layout, entries)
     eig = {}  # sector -> (energies, vectors, sym)
-    for r, orbit in sorted(orbits.items()):
-        eig.update(_diagonalize_orbit(hams[r], r, orbit, action))
+    reps = sorted(orbits, key=lambda r: -len(hams[r]))  # the largest first
+    args = [hams[r] for r in reps], reps, [orbits[r] for r in reps], repeat(action)
+    for out in mapper(_diagonalize_orbit, *args):
+        eig.update(out)
 
     shift = min(w[0] for w, _, _ in eig.values())
     return IterationState(
@@ -601,7 +621,7 @@ def _fdag_blocks(state: IterationState) -> list[BlockOp]:
     return fdag
 
 
-def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
+def add_site(state: IterationState, chain: WilsonChain, mapper=map) -> IterationState:
     """Extend the chain by one site and rediagonalize every sector.
 
     Builds the rescaled Hamiltonian sqrt(Lambda) * H_N + xi_N * (hopping) on
@@ -609,6 +629,7 @@ def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
     f_sigma enters twice: lowering I, as the transpose of the previous newest
     site's f^dag_sigma blocks (`_fdag_blocks`) with `_site_fdag`, and raising
     I, through the f^dag_sigma blocks themselves with `_site_raising`.
+    mapper runs the orbits' diagonalizations (see `_extend`).
     """
     if state.n + 1 > chain.length:
         raise EngineError(
@@ -620,7 +641,7 @@ def add_site(state: IterationState, chain: WilsonChain) -> IterationState:
         lowering = {(s, t): m.T for (t, s), m in blocks.items()}
         terms.append((xi, lowering, partial(_site_fdag, f)))
         terms.append((xi, blocks, partial(_site_raising, f)))
-    return _extend(state, terms, chain.lam)
+    return _extend(state, terms, chain.lam, mapper)
 
 
 def truncate(state: IterationState, n_keep: int) -> IterationState:
@@ -647,8 +668,10 @@ def truncate(state: IterationState, n_keep: int) -> IterationState:
     for s, b in state.blocks.items():
         c = int(np.searchsorted(b.energies, e_cut, side="right"))
         if c:
+            # copies, so that the untruncated arrays are freed
             sym = tuple(x[:c] for x in b.sym)
-            blocks[s] = SectorBlock(b.energies[:c], b.vectors[:, :c], sym, b.mult)
+            energies, vectors = b.energies[:c].copy(), b.vectors[:, :c].copy()
+            blocks[s] = SectorBlock(energies, vectors, sym, b.mult)
     return replace(state, blocks=blocks)
 
 
@@ -705,6 +728,57 @@ def _n_star(p: SpinBosonPoint, lam: float) -> float:
     return 1.0 - 2.0 * (math.log(ETA) + log_renormalized_tunneling(p)) / math.log(lam)
 
 
+@lru_cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy wheels
+    bundle, as ctypes functions, or None where that library is not found."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            if hasattr(lib, name.format("get_num_threads")):
+                get = getattr(lib, name.format("get_num_threads"))
+                set_ = getattr(lib, name.format("set_num_threads"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _orbit_mapper():
+    """The mapper that `run` diagonalizes each iteration's orbits with.
+
+    A thread pool, one thread per usable CPU, while OpenBLAS is held on one
+    thread (a multithreaded BLAS under the pool oversubscribes the cores);
+    the count it had is restored on exit.  The builtin map keeps the run
+    serial where OpenBLAS is not found, as its threads cannot be pinned, and
+    in a multiprocessing worker, whose sibling processes (a `run_sweep` pool)
+    fill the cores already.  The count is process-wide: runs in concurrent
+    threads of one process each restore the count they read.
+    """
+    # a multiprocessing worker has imported multiprocessing; elsewhere the
+    # check does not import it
+    mp = sys.modules.get("multiprocessing")
+    blas = _openblas()
+    if blas is None or (mp is not None and mp.parent_process() is not None):
+        yield map
+        return
+    get, set_ = blas
+    saved = get()
+    set_(1)
+    try:
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count()
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool.map
+    finally:
+        set_(saved)
+
+
 def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
     """Solve the point p: iterate its Kondo couplings (`map_to_kondo`) past
     p's depth `_n_star` until the observables plateau.
@@ -723,16 +797,17 @@ def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceR
     history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
 
     scale_met = plateau_met = even_odd = False
-    while state.n < cfg.n_max:
-        state = add_site(state, chain)
-        state = truncate(state, cfg.n_keep)
-        ops = propagate(ops, state)
-        sx_raw, sz_raw = ground_expectation_raw(state, ops)
-        history.append((state.n, sx_raw, sz_raw))
-        scale_met = state.n > n_star
-        plateau_met, even_odd = _plateau_status(history)
-        if scale_met and plateau_met:
-            break
+    with _orbit_mapper() as mapper:
+        while state.n < cfg.n_max:
+            state = add_site(state, chain, mapper)
+            state = truncate(state, cfg.n_keep)
+            ops = propagate(ops, state)
+            sx_raw, sz_raw = ground_expectation_raw(state, ops)
+            history.append((state.n, sx_raw, sz_raw))
+            scale_met = state.n > n_star
+            plateau_met, even_odd = _plateau_status(history)
+            if scale_met and plateau_met:
+                break
 
     if even_odd:
         sx_raw = 0.5 * (history[-1][1] + history[-2][1])

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -18,6 +20,7 @@ from spinboson_nrg import (
     build_chain,
     entanglement_entropy,
     exact_ground,
+    ground_expectation_raw,
     init_impurity_site,
     init_operator_blocks,
     map_to_kondo,
@@ -28,6 +31,7 @@ from spinboson_nrg import (
 )
 import spinboson_nrg.engine as engine_mod
 from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, SITE_ONE, SPIN_FLIP
+from spinboson_nrg.engine import EngineError
 from spinboson_nrg.engine import _n_star, _plateau_status
 from spinboson_nrg.engine import rotate
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN
@@ -360,6 +364,95 @@ class TestRun:
         assert entanglement_entropy(report.sx, report.sz)[2] > 0.999
 
 
+needs_openblas = pytest.mark.skipif(
+    engine_mod._openblas() is None, reason="numpy's OpenBLAS not found"
+)
+
+
+class TestOrbitPool:
+    @needs_openblas
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_pooled_run_matches_serial_loop(self, eps, monkeypatch):
+        p = SpinBosonPoint(alpha=0.4, epsilon=eps, delta_ratio=0.04)
+        cfg = NRGConfig(n_keep=100)
+        threads = set()
+        diagonalize = engine_mod._diagonalize
+
+        def recording(ham, sector):
+            threads.add(threading.get_ident())
+            return diagonalize(ham, sector)
+
+        monkeypatch.setattr(engine_mod, "_diagonalize", recording)
+        state, report = run(p, cfg)
+        assert threads - {threading.get_ident()}  # the pool diagonalized
+
+        chain = build_chain(cfg.lam, cfg.n_max)
+        st = init_impurity_site(map_to_kondo(p))
+        ops = init_operator_blocks(st)
+        for n, sx_raw, sz_raw in report.history[1:]:
+            st = truncate(add_site(st, chain), cfg.n_keep)
+            ops = propagate(ops, st)
+            assert st.n == n
+            np.testing.assert_allclose(
+                ground_expectation_raw(st, ops), (sx_raw, sz_raw), rtol=0, atol=1e-12
+            )
+        assert st.blocks.keys() == state.blocks.keys()
+        for t, b in st.blocks.items():
+            np.testing.assert_allclose(
+                b.energies, state.blocks[t].energies, rtol=0, atol=1e-12
+            )
+
+    def test_oversubscribed_pool_matches_serial(self):
+        # more threads than cores and a short switch interval: an update lost
+        # between the workers would show in the kept blocks
+        chain = build_chain(2.0, 9)
+        serial = pooled = init_impurity_site(_alpha_04(0.0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(8):
+                    serial = truncate(add_site(serial, chain), 120)
+                    pooled = truncate(add_site(pooled, chain, pool.map), 120)
+                    assert pooled.blocks.keys() == serial.blocks.keys()
+                    for t, b in serial.blocks.items():
+                        assert np.array_equal(pooled.blocks[t].energies, b.energies)
+                        assert np.array_equal(pooled.blocks[t].vectors, b.vectors)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @needs_openblas
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_threads_pinned_and_restored(self, fail, monkeypatch):
+        get, set_ = engine_mod._openblas()
+        saved = get()
+        set_(2)
+        before = get()
+        seen = []
+        eigh = np.linalg.eigh
+
+        def probe(ham):
+            if threading.current_thread() is not threading.main_thread():
+                seen.append(get())
+                if fail:
+                    raise np.linalg.LinAlgError("synthetic breakdown")
+            return eigh(ham)
+
+        monkeypatch.setattr(np.linalg, "eigh", probe)
+        p = SpinBosonPoint(alpha=0.4, epsilon=0.0, delta_ratio=0.04)
+        try:
+            if fail:
+                with pytest.raises(EngineError, match="eigensolver failed"):
+                    run(p, NRGConfig(n_max=4))
+            else:
+                run(p, NRGConfig(n_max=4))
+            assert get() == before
+        finally:
+            set_(saved)
+        # the pool's calls run with BLAS on one thread
+        assert seen and set(seen) == {1}
+
+
 @pytest.mark.parametrize("lam", [1.5, 2.0, 10.0])
 def test_depth_picks_the_float_rule_iteration(lam):
     """n > N* first holds where Lambda^(-(n-1)/2) < ETA * Delta_r first does."""
@@ -508,17 +601,26 @@ class TestZ2Symmetry:
             old = truncate(new, 120)
 
     def test_kept_energies_match_unsymmetrized_path(self, eps):
+        # at eps > 0 the table is empty, so the reference is the run at the
+        # opposite field, whose sectors are the mirror images (2I, -2Sz)
         chain = build_chain(2.0, 13)
-        sym = init_impurity_site(_alpha_04(eps))
-        ref = replace(sym, symmetries=())
+        k = _alpha_04(eps)
+        sym = init_impurity_site(k)
+        if eps == 0.0:
+            ref, mirror = replace(sym, symmetries=()), lambda t: t
+        else:
+            ref, mirror = init_impurity_site(replace(k, field=-k.field)), SPIN_FLIP.sector
         for _ in range(12):
             sym = truncate(add_site(sym, chain), 150)
             ref = truncate(add_site(ref, chain), 150)
             assert ref.symmetries == () and ref.representatives() == ref.blocks.keys()
-            assert sym.blocks.keys() == ref.blocks.keys()
+            assert {mirror(t) for t in sym.blocks} == ref.blocks.keys()
             for t in sym.blocks:
                 np.testing.assert_allclose(
-                    sym.blocks[t].energies, ref.blocks[t].energies, rtol=0, atol=1e-10
+                    sym.blocks[t].energies,
+                    ref.blocks[mirror(t)].energies,
+                    rtol=0,
+                    atol=1e-10,
                 )
 
     def test_filled_blocks_match_full_rotation(self, eps):

@@ -122,24 +122,17 @@ class TestRunSweep:
 
 
 def _blas_threads_probe(_):
-    """A pool worker's BLAS thread variables and the live OpenBLAS count.
+    """A pool worker's BLAS thread variables, the live OpenBLAS count, and
+    whether `run` would diagonalize serially there.
 
     The count is read from the OpenBLAS that numpy wheels bundle; it is None
     where that library is not found.
     """
-    import ctypes
-    import glob
-
     settings = tuple(os.getenv(v) for v in sweep_mod.BLAS_THREAD_VARS)
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                get_num_threads = getattr(lib, name)
-                get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
-                return settings, get_num_threads()
-    return settings, None
+    blas = engine_mod._openblas()
+    with engine_mod._orbit_mapper() as mapper:
+        serial = mapper is map
+    return settings, None if blas is None else blas[0](), serial
 
 
 class TestThreadPolicy:
@@ -148,9 +141,10 @@ class TestThreadPolicy:
             monkeypatch.delenv(v, raising=False)
         with sweep_mod._process_pool(2) as pool:
             reports = list(pool.map(_blas_threads_probe, range(2)))
-        for settings, count in reports:
+        for settings, count, serial in reports:
             assert settings == ("1",) * len(sweep_mod.BLAS_THREAD_VARS)
             assert count in (None, 1)
+            assert serial  # the worker processes fill the cores already
         # the parent's environment is restored
         assert not any(v in os.environ for v in sweep_mod.BLAS_THREAD_VARS)
 
@@ -159,7 +153,7 @@ class TestThreadPolicy:
             monkeypatch.delenv(v, raising=False)
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
         with sweep_mod._process_pool(1) as pool:
-            [(settings, _)] = pool.map(_blas_threads_probe, range(1))
+            [(settings, _, _)] = pool.map(_blas_threads_probe, range(1))
         expected = tuple(
             "2" if v == "OMP_NUM_THREADS" else None for v in sweep_mod.BLAS_THREAD_VARS
         )
