@@ -27,12 +27,22 @@ site, a rank-1/2 tensor, is carried as its highest-weight blocks
 <I+1/2, I+1/2| f^dag |I, I>, and `_site_fdag` and `_site_raising` hold the
 spin-1/2 recoupling factors by which it enters the next f^dag and the
 hopping.  One routine, `rotate`, takes any A (x) B into the kept eigenbasis:
-the f^dag of the newest site and the carried observables alike.  Each step
-stores once where every (previous sector, channel) pair sits in the product
-basis, IterationState.layout, and the assembly and every rotation read that
-map.  The first step extends the bare impurity (iteration -1, energies
-+-h/2) by site 0 with the Kondo exchange; every later step adds the hopping
-xi_N (f^dag_new f_old + h.c.).
+the f^dag of the newest site and the carried observables alike.  It makes
+one pass per block (t_to, t_from) of the result: the rows of Y = (A (x) B)
+U_from are filled piece by piece, the A of several operators stacked, and
+then multiplied by U_to^T once.  Each step stores once where every (previous
+sector, channel) pair sits in the product basis, IterationState.layout, and
+the assembly and every rotation read that map.  The first step extends the
+bare impurity (iteration -1, energies +-h/2) by site 0 with the Kondo
+exchange; every later step adds the hopping xi_N (f^dag_new f_old + h.c.).
+
+Assembly: an assembled block holds only its lower triangle (and its diagonal
+blocks in full), as numpy's `eigh` reads only that triangle.  Each piece is
+written once, transposed when it lies above the diagonal; a piece on a
+diagonal block, such as the Ising term of the first step, adds itself and
+its transpose.  Only the character split of a sector that a generator fixes
+gathers full rows, so `_diagonalize_orbit` mirrors that block's lower
+triangle, in place, before the split.
 
 Spin flip: at zero field the flip F of every spin (`fock.FLIP`, (q, m) ->
 (q, -m)) commutes with H; IterationState.symmetries holds it, or nothing at
@@ -92,6 +102,7 @@ import contextlib
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -104,7 +115,7 @@ from .chain import WilsonChain, build_chain
 from .fock import DQ, DTSZ, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN, IMP_DN, IMP_UP
 from .fock import LOCAL_STATES, N_EL
 from .params import DomainError, KondoParams, SpinBosonPoint
-from .params import log_renormalized_tunneling, map_to_kondo
+from .params import _caller_stacklevel, log_renormalized_tunneling, map_to_kondo
 
 
 class EngineError(RuntimeError):
@@ -340,6 +351,26 @@ def _diagonalize_by_characters(ham: np.ndarray, sector: Sector, acts):
     return energies[order], vectors[:, order], table[chars[order]][:, generators].T
 
 
+def _nonzero_elements(m: np.ndarray) -> tuple[tuple[int, int, float, bool], ...]:
+    """The nonzero elements (i, j, value, odd) of a channel matrix; odd marks
+    an element that changes the fermion parity."""
+    return tuple(
+        (i, j, float(m[i, j]), (N_EL[i] - N_EL[j]) % 2 == 1) for i, j in zip(*np.nonzero(m))
+    )
+
+
+@lru_cache(maxsize=16)
+def _site_elements(site_of):
+    """q -> `_nonzero_elements` of site_of(q), each q computed once.  Cached
+    per function, so the site factors below are read once per process."""
+    return lru_cache(maxsize=None)(lambda q: _nonzero_elements(site_of(q)))
+
+
+# the hopping's site factors per spin, as functions of the old sector's q
+_SITE_FDAG = tuple(partial(_site_fdag, f) for f in FDAG)
+_SITE_RAISING = tuple(partial(_site_raising, f) for f in FDAG)
+
+
 def _pieces(layout: Layout, n_old_sites: int, a, b, row_sectors):
     """Nonzero blocks of A (x) B on a product basis over an n_old_sites block.
 
@@ -348,17 +379,10 @@ def _pieces(layout: Layout, n_old_sites: int, a, b, row_sectors):
     block, the signed channel matrix element, and the value a holds for the
     A block, for the row sectors in row_sectors.
     """
-    site_of = b if callable(b) else lambda q: b
-    nonzero: dict[int, list] = {}
+    fixed = None if callable(b) else _nonzero_elements(b)
+    elements = _site_elements(b) if fixed is None else lambda q: fixed
     for (s_to, s_from), block in a.items():
-        site = nonzero.get(s_from.q)
-        if site is None:
-            m = site_of(s_from.q)
-            site = nonzero[s_from.q] = [
-                (i, j, float(m[i, j]), (N_EL[i] - N_EL[j]) % 2)
-                for i, j in zip(*np.nonzero(m))
-            ]
-        for l_to, l_from, elem, odd in site:
+        for l_to, l_from, elem, odd in elements(s_from.q):
             row, col = layout.get((s_to, l_to)), layout.get((s_from, l_from))
             if row is None or col is None or row[0] not in row_sectors:
                 continue
@@ -375,38 +399,54 @@ def rotate(
 ) -> list[BlockOp]:
     """A (x) B in the kept eigenbasis of state, for each A in ops.
 
-    The A act on the block of the previous iteration and are rotated in one
-    pass over the eigenvector slices; ops None stands for that block's
-    identity alone.  B acts on the channels of the newest site (a matrix, or
-    a function of the old sector's q, as in `_pieces`).  to_sectors, when
-    given, limits the results to the blocks whose row sector it contains.
+    The A act on the block of the previous iteration; ops None stands for
+    that block's identity alone.  B acts on the channels of the newest site
+    (a matrix, or a function of the old sector's q, as in `_pieces`).
+    to_sectors, when given, limits the results to the blocks whose row sector
+    it contains.  One pass per block (t_to, t_from) of the result: Y[rows] =
+    elem A U_from[cols] for each of its pieces, with the A of all ops stacked
+    (a missing block as zeros), then U_to^T Y.
     """
     if ops is None:
         a = {(s, s): None for s in sorted({s for s, _ in state.layout})}
     else:
-        keys = dict.fromkeys(k for op in ops for k in op)  # in a fixed order
-        a = {k: [op.get(k) for op in ops] for k in keys}
-    out: list[BlockOp] = [{} for _ in ops or (None,)]
+        a = {}
+        for k in dict.fromkeys(k for op in ops for k in op):  # in a fixed order
+            blks = [op.get(k) for op in ops]
+            if any(m is None for m in blks):
+                zero = np.zeros_like(next(m for m in blks if m is not None))
+                blks = [zero if m is None else m for m in blks]
+            a[k] = np.array(blks) if len(blks) > 1 else blks[0]
     blocks = state.blocks
+    groups: dict[tuple[Sector, Sector], list] = {}
     targets = blocks if to_sectors is None else to_sectors
-    pieces = _pieces(state.layout, state.n, a, b, targets)
-    for (t_to, r_to), (t_from, r_from), elem, a_blks in pieces:
-        if t_from not in blocks:
-            continue
-        u_to, u_from = blocks[t_to].vectors[r_to], blocks[t_from].vectors[r_from]
-        if a_blks is None:
-            products = [u_to.T @ u_from]
-        else:
-            products = [None if m is None else u_to.T @ m @ u_from for m in a_blks]
-        key = (t_to, t_from)
-        for o, m in zip(out, products):
-            if m is None:
+    for (t_to, rows), (t_from, cols), elem, m in _pieces(
+        state.layout, state.n, a, b, targets
+    ):
+        if t_from in blocks:
+            groups.setdefault((t_to, t_from), []).append((rows, cols, elem, m))
+
+    out: list[BlockOp] = [{} for _ in ops or (None,)]
+    stack = (len(out),) if len(out) > 1 else ()  # the leading axis of y, if any
+    for key, pieces in groups.items():
+        u_to, u_from = blocks[key[0]].vectors, blocks[key[1]].vectors
+        y = np.zeros(stack + (len(u_to), u_from.shape[1]))
+        written = set()
+        for rows, cols, elem, m in pieces:
+            x, target = u_from[cols], y[..., rows, :]
+            if rows.start in written:
+                target += elem * (x if m is None else m @ x)
                 continue
-            m *= elem
-            if key in o:
-                o[key] += m
+            written.add(rows.start)
+            if m is None:
+                np.multiply(x, elem, out=target)
             else:
-                o[key] = m
+                np.matmul(m, x, out=target)
+                if elem != 1.0:
+                    target *= elem
+        z = u_to.T @ y
+        for o, m in zip(out, z if stack else (z,)):
+            o[key] = m
     return out
 
 
@@ -490,12 +530,22 @@ class _Action:
 
 
 def _diagonalize_orbit(ham: np.ndarray, r: Sector, orbit, action: _Action):
-    """Energies, vectors and sym of every sector of r's orbit, from ham on r."""
+    """Energies, vectors and sym of every sector of r's orbit, from the lower
+    triangle of ham on r."""
     gens = action.gens
+    if not gens:  # the orbit is r alone
+        w, v = _diagonalize(ham, r)
+        return {r: (w, v, ())}
     fixed = [i for i, g in enumerate(gens) if g.sector(r) == r]
     chi = {}  # fixed generator -> the character of each state
     if fixed:
-        # a fixed generator maps the rows of r onto themselves, an involution
+        # a fixed generator maps the rows of r onto themselves, an involution;
+        # the character split gathers full rows, so each block above the
+        # diagonal is mirrored from the one below it, in place
+        slices = [rows for _, _, rows in action.entries[r]]
+        for i, upper in enumerate(slices):
+            for lower in slices[i + 1 :]:
+                ham[upper, lower] = ham[lower, upper].T
         perms = [action.permutation(i, r) for i in fixed]
         w, v, chars = _diagonalize_by_characters(ham, r, perms)
         chi = dict(zip(fixed, chars))
@@ -533,7 +583,9 @@ def _extend(
     """Add one site: diagonalize scale * diag(E_old) + sum c (A (x) B + h.c.).
 
     terms holds (c, A, B) triples; lam is None only for the impurity step.
-    The orbits are diagonalized through mapper, largest block first.
+    Each piece is written once, into the lower triangle, which is all that
+    `eigh` reads.  The orbits are diagonalized through mapper, largest block
+    first.
     """
     n_new = state.n + 1
     scale = math.sqrt(lam) if n_new > 1 else 1.0
@@ -554,16 +606,30 @@ def _extend(
             parts.append((s, loc, slice(off, off + e)))
     # one representative per orbit is assembled and diagonalized
     orbits = _orbits(entries, state.symmetries)
-    hams = {
-        r: np.diag(scale * np.concatenate([old[s].energies for s, _, _ in entries[r]]))
-        for r in orbits
-    }
+    hams = {}
+    for r in orbits:
+        d = entries[r][-1][2].stop
+        hams[r] = np.zeros((d, d))
+        diagonal = [old[s].energies for s, _, _ in entries[r]]
+        np.multiply(np.concatenate(diagonal), scale, out=hams[r].reshape(-1)[:: d + 1])
+    written = set()  # the off-diagonal blocks that hold a piece already
     for c, a, b in terms:
         # the old block holds n_new sites
         for (t, r), (_, k), elem, a_blk in _pieces(layout, n_new, a, b, hams):
-            m = (c * elem) * a_blk
-            hams[t][r, k] += m
-            hams[t][k, r] += m.T
+            if r.start == k.start:  # a block on the diagonal holds m + m^T
+                m = (c * elem) * a_blk
+                h = hams[t][r, r]
+                h += m
+                h += m.T
+                continue
+            if r.start < k.start:
+                r, k, a_blk = k, r, a_blk.T
+            h = hams[t][r, k]
+            if (t, r.start, k.start) in written:
+                h += (c * elem) * a_blk
+            else:
+                np.multiply(a_blk, c * elem, out=h)
+                written.add((t, r.start, k.start))
 
     action = _Action(state.symmetries, old, layout, entries)
     eig = {}  # sector -> (energies, vectors, sym)
@@ -615,7 +681,7 @@ def _fdag_blocks(state: IterationState) -> list[BlockOp]:
     gives the other blocks.
     """
     reps = state.representatives()
-    fdag = [rotate(state, None, partial(_site_fdag, f), reps)[0] for f in FDAG]
+    fdag = [rotate(state, None, site, reps)[0] for site in _SITE_FDAG]
     conj = [_fdag_conjugation(g) for g in state.symmetries]
     fill_images(state, fdag, conj)
     return fdag
@@ -637,10 +703,10 @@ def add_site(state: IterationState, chain: WilsonChain, mapper=map) -> Iteration
         )
     xi = chain.coupling(state.n)
     terms = []
-    for blocks, f in zip(_fdag_blocks(state), FDAG):
+    for spin, blocks in enumerate(_fdag_blocks(state)):
         lowering = {(s, t): m.T for (t, s), m in blocks.items()}
-        terms.append((xi, lowering, partial(_site_fdag, f)))
-        terms.append((xi, blocks, partial(_site_raising, f)))
+        terms.append((xi, lowering, _SITE_FDAG[spin]))
+        terms.append((xi, blocks, _SITE_RAISING[spin]))
     return _extend(state, terms, chain.lam, mapper)
 
 
@@ -657,17 +723,25 @@ def truncate(state: IterationState, n_keep: int) -> IterationState:
     """
     if n_keep < 16:
         raise DomainError("n_keep must be >= 16")
-    e = np.concatenate([np.repeat(b.energies, b.mult) for b in state.blocks.values()])
-    e = np.sort(e)[n_keep - 1 :]
+    old = state.blocks.values()
+    sizes = [len(b.energies) for b in old]
+    levels = np.concatenate([b.energies for b in old])
+    order = np.argsort(levels, kind="stable")
+    # the levels from the one holding the n_keep-th state on, in energy order
+    counts = np.cumsum(np.repeat([b.mult for b in old], sizes)[order])
+    e = levels[order[np.searchsorted(counts, n_keep) :]]
     gap = np.diff(e) >= DEGENERACY_TOL * np.maximum(1.0, np.abs(e[:-1]))
     if not gap.any():
         return state
     e_cut = e[gap.argmax()]
 
+    # each block is ascending, so it keeps its levels up to the cut
+    below = np.cumsum(levels <= e_cut)[np.cumsum(sizes) - 1]
     blocks: dict[Sector, SectorBlock] = {}
-    for s, b in state.blocks.items():
-        c = int(np.searchsorted(b.energies, e_cut, side="right"))
-        if c:
+    for (s, b), c, size in zip(state.blocks.items(), np.diff(below, prepend=0), sizes):
+        if c == size:
+            blocks[s] = b
+        elif c:
             # copies, so that the untruncated arrays are freed
             sym = tuple(x[:c] for x in b.sym)
             energies, vectors = b.energies[:c].copy(), b.vectors[:, :c].copy()
@@ -784,12 +858,20 @@ def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceR
     p's depth `_n_star` until the observables plateau.
 
     Reaching n_max short of both criteria is not an error; the report carries
-    converged=False and the drift over the last window.
+    converged=False and the drift over the last window.  An n_max at or below
+    the depth, which no run can pass, warns once (UserWarning) before the run.
     """
     from .observables import ground_expectation_raw, init_operator_blocks, propagate
 
     chain = build_chain(cfg.lam, cfg.n_max)
     n_star = _n_star(p, cfg.lam)
+    if cfg.n_max <= n_star:
+        warnings.warn(
+            f"n_max={cfg.n_max} <= N*={n_star:.1f}: the run cannot pass the depth"
+            " N* and will not converge",
+            UserWarning,
+            stacklevel=_caller_stacklevel(),
+        )
 
     state = init_impurity_site(map_to_kondo(p))
     ops = init_operator_blocks(state)

@@ -89,6 +89,8 @@ def ground_expectation_raw(
     weights: list[int] = []
     for s in sorted(state.blocks):
         block = state.blocks[s]
+        if block.energies[0] > DEGENERACY_TOL:  # ascending: no ground level here
+            continue
         ox, oz = ops.ox.get((s, s)), ops.oz.get((s, s))
         for i in np.nonzero(block.energies <= DEGENERACY_TOL)[0]:
             sx_vals.append(0.0 if ox is None else float(ox[i, i]))

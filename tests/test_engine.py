@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -338,10 +339,29 @@ class TestRun:
 
     def test_unconverged_flagged_not_raised(self):
         p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
-        state, report = run(p, NRGConfig(n_max=10))
+        with pytest.warns(UserWarning, match=r"N\*="):
+            state, report = run(p, NRGConfig(n_max=10))
         assert not report.converged
         assert report.n_m == 10
         assert math.isfinite(report.sx) and math.isfinite(report.sz)
+
+    def test_cap_at_or_below_depth_warns_once(self):
+        # N* = 30.9 here: n_max = 30 cannot converge, n_max = 31 can
+        p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
+        n_star = _n_star(p, 2.0)
+        assert 30 < n_star < 31
+        with pytest.warns(UserWarning) as caught:
+            _, report = run(p, NRGConfig(n_keep=16, n_max=30))
+        assert [str(w.message) for w in caught] == [
+            f"n_max=30 <= N*={n_star:.1f}: the run cannot pass the depth N* and"
+            " will not converge"
+        ]
+        assert caught[0].filename == __file__  # the line that called run
+        assert not report.scale_met
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = run(p, NRGConfig(n_keep=16, n_max=31))
+        assert report.n_m == 31 and report.scale_met
 
     def test_lambda_15_alpha_09_terminates(self):
         p = SpinBosonPoint(alpha=0.9, epsilon=0.0, delta_ratio=0.04)
@@ -654,6 +674,124 @@ class TestZ2Symmetry:
         raise_op = sum((-1) ** n * fdag[2 * n] @ fdag[2 * n + 1] for n in range(3))
         assert np.abs(raise_op @ ham - ham @ raise_op).max() < 1e-14
         assert np.array_equal(m @ raise_op @ m.T, -raise_op)
+
+
+def _dense(op, order, dims):
+    """A BlockOp as one matrix over the kept multiplets of the sectors in order."""
+    off = dict(zip(order, np.cumsum([0] + [dims[s] for s in order])))
+    m = np.zeros((off[order[-1]] + dims[order[-1]],) * 2)
+    for (t, u), blk in op.items():
+        m[off[t] : off[t] + dims[t], off[u] : off[u] + dims[u]] = blk
+    return m
+
+
+def _check_against_dense(st, op, dense, pos):
+    """op against U_t^T dense U_u on every pair of st's blocks; dense acts on
+    the old kept multiplets x the four site states, pos[t] the rows of t there."""
+    for t, bt in st.blocks.items():
+        for u, bu in st.blocks.items():
+            ref = bt.vectors.T @ dense[np.ix_(pos[t], pos[u])] @ bu.vectors
+            got = op.get((t, u), np.zeros_like(ref))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=f"{t} {u}")
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_rotations_match_dense_kron(eps):
+    # the carried observables (O (x) 1) and the newest site's f^dag, built as
+    # dense np.kron products on the old kept multiplets x the site's four
+    # states and rotated by the kept vectors, independently of `rotate`
+    chain = build_chain(2.0, 7)
+    st = init_impurity_site(_alpha_04(eps))
+    ops = init_operator_blocks(st)
+    for n in range(1, 7):
+        old, old_ops = st, ops
+        st = truncate(add_site(old, chain), 40)
+        ops = propagate(old_ops, st)
+        order = sorted(old.blocks)
+        dims = {s: len(old.blocks[s].energies) for s in order}
+        off = dict(zip(order, np.cumsum([0] + [dims[s] for s in order])))
+        pos = {t: np.zeros(len(b.vectors), dtype=int) for t, b in st.blocks.items()}
+        for (s, loc), (t, rows) in st.layout.items():
+            if t in pos:  # a product sector may be truncated away
+                pos[t][rows] = (off[s] + np.arange(dims[s])) * 4 + loc
+        for new_op, old_op in ((ops.ox, old_ops.ox), (ops.oz, old_ops.oz)):
+            _check_against_dense(st, new_op, np.kron(_dense(old_op, order, dims), np.eye(4)), pos)
+        # f^dag_sigma of site n on the highest weights of an old multiplet I =
+        # q/2: the empty site enters I + 1/2 with weight sqrt(q/(q+1)), and the
+        # n old sites and q give the fermion parity it passes
+        for f, fdag in zip(FDAG, engine_mod._fdag_blocks(st)):
+            dense = 0.0
+            for s in order:
+                site = f.copy()
+                site[:, EMPTY] *= math.sqrt(s.q / (s.q + 1))
+                proj = _dense({(s, s): np.eye(dims[s])}, order, dims)
+                dense = dense + (-1.0) ** (s.q + n) * np.kron(proj, site)
+            _check_against_dense(st, fdag, dense, pos)
+
+
+def test_rotate_matches_dense_kron_for_a_general_product():
+    # B with two elements in a row (UP <- UP and UP <- DN) and A with blocks
+    # (s, s) and (s, s + 2 two_sz) put two pieces on the same rows of one
+    # block; the second op lacks the blocks off the diagonal
+    chain = build_chain(2.0, 4)
+    old = truncate(add_site(add_site(init_impurity_site(GENERIC), chain), chain), 40)
+    st = add_site(old, chain)
+    order = sorted(old.blocks)
+    dims = {s: len(old.blocks[s].energies) for s in order}
+    off = dict(zip(order, np.cumsum([0] + [dims[s] for s in order])))
+    rng = np.random.default_rng(3)
+    a = {(s, u): rng.standard_normal((dims[s], dims[u])) for s in order for u in order if s.q == u.q}
+    a2 = {(s, u): m for (s, u), m in a.items() if s == u}
+    b = SITE_ONE + engine_mod.SITE_S_PLUS
+    pos = {t: np.zeros(len(blk.vectors), dtype=int) for t, blk in st.blocks.items()}
+    for (s, loc), (t, rows) in st.layout.items():
+        pos[t][rows] = (off[s] + np.arange(dims[s])) * 4 + loc
+    for op, ref in zip(rotate(st, (a, a2), b), (a, a2)):
+        _check_against_dense(st, op, np.kron(_dense(ref, order, dims), b), pos)
+
+
+@pytest.mark.parametrize("field", [0.0, 0.05])
+def test_ising_term_alone_matches_oracle(field):
+    # at J_perp -> 0 (the smallest positive coupling) the impurity step is
+    # the Ising term J_par S_z s_z, whose pieces sit on diagonal blocks of
+    # the product basis: each must enter as m + m^T, not as one triangle
+    k = KondoParams(rho0_jperp=1e-30, rho0_jpar=0.8, field=field)
+    st = init_impurity_site(k)
+    hams, _ = sector_hamiltonians(k, build_chain(2.0, 1), 1)
+    for (q, two_sz), h in hams.items():
+        # a multiplet of isospin I has a member in every sector q = -2I .. 2I
+        levels = [
+            b.energies
+            for s, b in st.blocks.items()
+            if s.two_sz == two_sz and s.q >= abs(q) and (s.q - q) % 2 == 0
+        ]
+        np.testing.assert_allclose(
+            np.sort(np.concatenate(levels)) + st.e0_accumulated,
+            np.linalg.eigvalsh(h),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+def test_character_split_sees_a_symmetric_matrix(monkeypatch):
+    # a block is assembled in its lower triangle; the character split of a
+    # fixed sector gathers full rows, so it must get the mirrored matrix
+    seen = []
+    split = engine_mod._diagonalize_by_characters
+
+    def recording(ham, sector, acts):
+        seen.append(ham.copy())
+        return split(ham, sector, acts)
+
+    monkeypatch.setattr(engine_mod, "_diagonalize_by_characters", recording)
+    chain = build_chain(2.0, 6)
+    st = init_impurity_site(_alpha_04(0.0))
+    for _ in range(5):
+        st = truncate(add_site(st, chain), 60)
+    assert len(seen) >= 5
+    for ham in seen:
+        assert np.array_equal(ham, ham.T)
+    assert any(np.count_nonzero(np.triu(ham, 1)) for ham in seen)
 
 
 def _two_site_fdag():

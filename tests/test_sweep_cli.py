@@ -43,7 +43,9 @@ class TestRunPoint:
         # outside the longitudinal sector: rho0 J_perp = 0.1 > rho0 J_par
         with pytest.warns(UserWarning, match="longitudinal") as caught:
             run_point(SpinBosonPoint(0.95, 0.0, 0.1), NRGConfig(n_max=2))
-        assert [w.filename for w in caught] == [__file__]
+        # with it comes the warning that n_max = 2 lies below the depth N*
+        assert [w.filename for w in caught] == [__file__, __file__]
+        assert sum("N*=" in str(w.message) for w in caught) == 1
 
     def test_deterministic(self, sample_record):
         again = run_point(POINT, FAST)
@@ -60,6 +62,7 @@ class TestRunPoint:
         assert r.delta_r == renormalized_tunneling(POINT)
 
     @pytest.mark.filterwarnings("ignore:.*longitudinal.*:UserWarning")
+    @pytest.mark.filterwarnings("ignore:n_max=.*:UserWarning")
     def test_delta_r_is_the_points_own(self):
         # Delta_r of the row's own alpha and Delta/wc, bit for bit: no run
         # maps its couplings back to a point
