@@ -40,27 +40,29 @@ Assembly: an assembled block holds only its lower triangle (and its diagonal
 blocks in full), as numpy's `eigh` reads only that triangle.  Each piece is
 written once, transposed when it lies above the diagonal; a piece on a
 diagonal block, such as the Ising term of the first step, adds itself and
-its transpose.  Only the character split of a sector that a generator fixes
-gathers full rows, so `_diagonalize_orbit` mirrors that block's lower
-triangle, in place, before the split.
+its transpose.  Only the parity split of a sector that F fixes gathers full
+rows, so `_diagonalize_representative` mirrors that block's lower triangle,
+in place, before the split.
 
-Spin flip: at zero field the flip F of every spin (`fock.FLIP`, (q, m) ->
-(q, -m)) commutes with H; IterationState.symmetries holds it, or nothing at
-nonzero field.  F I^+ F = -I^+ with the `fock` conventions, so F keeps I and
-I_z and maps highest weights to highest weights, only flipping the sign of
-I^+-.  On the channels it is still the site table (`Z2`): DOUBLE takes the
-double's -1, and on EMPTY the -1 that F gives the lowered old state cancels
-it.  A kept multiplet j of sector s obeys G|j, s> = sym[j] |j, G(s)>, with
-sym the +-1 array the block stores for the generator G, so in the product
-basis G is a signed permutation: the rows of (s, loc) go to the rows of
-(G(s), perm[loc]), times sym and the channel sign.  A step diagonalizes one
-representative per orbit of sectors, the largest; a sector that G fixes
-(two_sz = 0) is split into its G-even and G-odd blocks.  The other sector of
-the orbit gets the same energies and the vectors G V, so orbit partners are
-bitwise degenerate and truncation never separates them.  Operators are
-rotated into the representative row sectors only, and `fill_images` gives the
-other blocks: G X G^-1 has the block sym(t1) X[t1, t2] sym(t2) at
-(G t1, G t2).  An empty table diagonalizes every sector in full.
+Spin flip: at zero field the flip F of every spin commutes with H, and
+IterationState.flip says so.  It maps the sector (q, two_sz) to (q, -two_sz)
+and a site state as the `fock` table FLIP, FLIP_SIGN.  F I^+ F = -I^+ with
+the `fock` conventions, so F keeps I and I_z and maps highest weights to
+highest weights, only flipping the sign of I^+-.  On the channels it acts as
+on the site states: DOUBLE takes the double's -1, and on EMPTY the -1 that F
+gives the lowered old state cancels it.  A kept multiplet j of sector s obeys
+F|j, s> = sym[j] |j, F(s)>, so in the product basis F is a signed
+permutation: the rows of (s, loc) go to the rows of (F(s), FLIP[loc]), times
+sym and FLIP_SIGN[loc].  A step diagonalizes only the sectors with
+two_sz >= 0, the representatives.  One with two_sz > 0 gives its mirror the
+same energies and the vectors F V, so the pair is bitwise degenerate and
+truncation never separates it; as F^2 = 1, F takes the mirror's states back
+with sign +1 too, so sym is +1 on both.  A sector that F fixes (two_sz = 0)
+is split into its F-even and F-odd blocks (`_split_by_parity`), and its sym
+is the parity of each state.  Operators are rotated into the representative
+row sectors only, and `fill_images` gives the other blocks: F X F has the
+block sym(t1) X[t1, t2] sym(t2) at (F t1, F t2).  Without F every sector is
+diagonalized in full and sym is None.
 
 Rescaling convention: stored sector energies at iteration N are
 (E - E0) / IterationState.unscale, with the current ground state at zero;
@@ -76,12 +78,13 @@ sectors, the n_keep-th lowest energy, each multiplet counted 2I + 1 times,
 moved up to the next clear gap (see `truncate`); blocks are ascending, so
 each sector keeps a prefix.
 
-Concurrency: the orbits of one iteration are independent eigenproblems.
-`run` diagonalizes them on a thread pool, one thread per usable CPU, largest
-block first, with OpenBLAS held on one thread for the loop (`_orbit_mapper`):
-numpy's `eigh` releases the GIL, and a multithreaded BLAS under the pool
-would oversubscribe the cores.  The results are gathered by sector, so a
-pooled run matches a serial one at the same BLAS thread count bit for bit.
+Concurrency: the representatives of one iteration are independent
+eigenproblems.  `run` diagonalizes them on a thread pool, one thread per
+usable CPU, largest block first, with OpenBLAS held on one thread for the
+loop (`_block_mapper`): numpy's `eigh` releases the GIL, and a multithreaded
+BLAS under the pool would oversubscribe the cores.  The results are
+gathered by sector, so a pooled run matches a serial one at the same BLAS
+thread count bit for bit.
 `add_site` and `_extend` take the mapper, the builtin map by default, as the
 oracle and direct callers use them; `run` stays serial too where numpy's
 OpenBLAS is not found and in the worker processes of a sweep.
@@ -106,7 +109,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -125,30 +127,6 @@ class EngineError(RuntimeError):
 class Sector(NamedTuple):
     q: int
     two_sz: int
-
-
-class Z2(NamedTuple):
-    """A Z2 symmetry G of every iteration's Hamiltonian.
-
-    G maps the sector (q, two_sz) to (scale[0] q, scale[1] two_sz) and the
-    channel loc of the newest site to sign[loc] times channel perm[loc]; it
-    moves the bare impurity only through the sector map.
-    """
-
-    scale: tuple[int, int]
-    perm: tuple[int, ...]
-    sign: tuple[float, ...]
-
-    def sector(self, s: Sector) -> Sector:
-        return Sector(self.scale[0] * s.q, self.scale[1] * s.two_sz)
-
-
-SPIN_FLIP = Z2((1, -1), FLIP, FLIP_SIGN)
-
-
-def symmetries_of(k: KondoParams) -> tuple[Z2, ...]:
-    """The generators that commute with H: the flip F at h = 0, else none."""
-    return (SPIN_FLIP,) if k.field == 0.0 else ()
 
 
 @dataclass(frozen=True)
@@ -188,8 +166,9 @@ DEGENERACY_TOL = 1e-10
 class SectorBlock:
     energies: np.ndarray      # ascending, iteration ground state at zero
     vectors: np.ndarray       # product basis -> eigenbasis, kept columns only
-    # per generator of the table, the +-1 of each state: G|j, s> = sym[j] |j, G(s)>
-    sym: tuple[np.ndarray, ...] = ()
+    # with F, the +-1 of each state: F|j, s> = sym[j] |j, F(s)>; +1 throughout
+    # unless F fixes s (two_sz = 0), where it is the F parity; None without F
+    sym: np.ndarray | None = None
     mult: int = 1             # 2I + 1: the states each level stands for
 
     @property
@@ -252,11 +231,11 @@ class IterationState:
     e0_accumulated: float
     unscale: float = 1.0             # omega_N: stored energies -> D0 units
     layout: Layout | None = None     # rows of the product basis, set by _extend
-    symmetries: tuple[Z2, ...] = ()  # the generators the blocks respect
+    flip: bool = False               # F commutes with H (zero field)
 
     def representatives(self) -> set[Sector]:
-        """The sectors that are the largest of their orbit."""
-        return set(_orbits(self.blocks, self.symmetries))
+        """The sectors diagonalized in full: with F, those with two_sz >= 0."""
+        return {t for t in self.blocks if not self.flip or t.two_sz >= 0}
 
 
 def _block_parity_sign(q: int, n_sites: int) -> float:
@@ -274,81 +253,43 @@ def _diagonalize(ham: np.ndarray, sector: Sector) -> tuple[np.ndarray, np.ndarra
         ) from exc
 
 
-def _orbits(sectors, gens: tuple[Z2, ...]) -> dict[Sector, dict[Sector, tuple]]:
-    """The orbits of sectors, keyed by their largest sector, the representative.
-
-    Each orbit maps its sectors to (i, parent): generator i takes the parent
-    sector to it ((None, None) for the representative).
-    """
-    orbits: dict[Sector, dict[Sector, tuple]] = {}
-    seen: set[Sector] = set()
-    for t in sorted(sectors, reverse=True):
-        if t in seen:
-            continue
-        orbit = {t: (None, None)}
-        for i, g in enumerate(gens):
-            for u in list(orbit):
-                orbit.setdefault(g.sector(u), (i, u))
-        orbits[t] = orbit
-        seen.update(orbit)
-    return orbits
+def _flipped(t: Sector) -> Sector:
+    return Sector(t.q, -t.two_sz)
 
 
-@lru_cache
-def _character_table(k: int) -> np.ndarray:
-    """chi(h) for the characters (rows) and the products h (columns) of k
-    commuting generators: bit j of an index marks generator j, and a
-    character that is -1 on generator j has bit j set."""
-    n = 1 << k
-    signs = [[(-1.0) ** bin(c & h).count("1") for h in range(n)] for c in range(n)]
-    table = np.array(signs)
-    table.flags.writeable = False  # shared by every caller
-    return table
+def _split_by_parity(ham: np.ndarray, sector: Sector, dest, sign):
+    """Diagonalize a sector that F fixes, its F-even and F-odd blocks apart.
 
-
-def _diagonalize_by_characters(ham: np.ndarray, sector: Sector, acts):
-    """Diagonalize a sector fixed by commuting generators, one character at a time.
-
-    acts holds each generator on the rows as (dest, sign), an involution:
-    G e_r = sign[r] e_dest[r].  Every product h of them is such a signed
-    permutation.  For a character chi, the block's basis is the normalized
-    projection P e_a = sum_h chi(h) h e_a / |group| of each leader row a (the
-    lowest of its orbit under the products), where it is nonzero.  As P
-    commutes with ham, the matrix element <P e_a|ham|P e_b> is <e_a|ham P|e_b>,
-    gathered from the leader rows of ham.  Returns the energies, the vectors,
-    and per generator the character of each state, all in energy order.
+    F acts on the rows as the signed involution F e_r = sign[r] e_dest[r]; ham
+    is symmetric and commutes with it.  A row a that F fixes lies in the block
+    of parity sign[a]; a swapped pair a < dest[a] gives (e_a + p sign[a]
+    e_dest[a]) / sqrt(2) to the block of parity p.  With b_a = norm_a (e_a +
+    p F e_a) and F ham F = ham, <b_a|ham|b_b> = 2 norm_a norm_b <e_a|ham|e_b +
+    p F e_b>, gathered from the rows a of ham.  Returns the energies, the
+    vectors and the parity of each state, in energy order.
     """
     d = len(ham)
-    # product h of the generators whose bits are set in its index
-    dests, signs = np.arange(d)[None], np.ones((1, d))
-    for dest, sign in acts:
-        dests, signs = (
-            np.vstack([dests, dest[dests]]), np.vstack([signs, sign[dests] * signs])
-        )
-    leaders = np.flatnonzero(dests.min(axis=0) == np.arange(d))
-    dests, signs = dests[:, leaders], signs[:, leaders]
-    table = _character_table(len(acts))
-    # |P e_a|^2 |group|: chi(h) sign summed over the h that fix a
-    weights = table @ (signs * (dests == leaders))
-    chars, lead = np.nonzero(weights > 0)  # a column per (character, leader)
-    norm = 1.0 / np.sqrt(len(table) * weights[chars, lead])
-    coef = table[chars].T * signs[:, lead] * norm  # P e_a / |P e_a|, per h
-    rows = dests[:, lead]
-    first = ham[leaders[lead]]
-    m = first[:, rows[0]] * coef[0]
-    for h_coef, h_rows in zip(coef[1:], rows[1:]):
-        m += first[:, h_rows] * h_coef
-    m *= (len(table) * norm)[:, None]  # only its blocks within a character count
-    energies, vectors = np.empty(d), np.zeros((d, d))
-    bounds = np.searchsorted(chars, np.arange(len(table) + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo < hi:
-            energies[lo:hi], x = _diagonalize(m[lo:hi, lo:hi], sector)
-            for h_coef, h_rows in zip(coef[:, lo:hi], rows[:, lo:hi]):
-                vectors[h_rows, lo:hi] += h_coef[:, None] * x
+    lead = np.flatnonzero(dest >= np.arange(d))  # a row of each pair, or fixed
+    fixed = dest[lead] == lead
+    energies, vectors, parity = np.empty(d), np.zeros((d, d)), np.empty(d)
+    lo = 0
+    for p in (1.0, -1.0):
+        a = lead[~fixed | (sign[lead] == p)]
+        if not a.size:  # every row is fixed, with the other parity
+            continue
+        b, cols = dest[a], slice(lo, lo + len(a))
+        norm = 1.0 / np.sqrt(np.where(a == b, 4.0, 2.0))
+        coef = p * sign[a] * norm
+        rows = ham[a]
+        m = rows[:, a] * norm
+        m += rows[:, b] * coef
+        m *= (2.0 * norm)[:, None]
+        energies[cols], x = _diagonalize(m, sector)
+        vectors[a, cols] = norm[:, None] * x
+        vectors[b, cols] += coef[:, None] * x  # a fixed row gets x/2 + x/2
+        parity[cols], lo = p, cols.stop
     order = np.argsort(energies, kind="stable")
-    generators = [1 << j for j in range(len(acts))]
-    return energies[order], vectors[:, order], table[chars[order]][:, generators].T
+    return energies[order], vectors[:, order], parity[order]
 
 
 def _nonzero_elements(m: np.ndarray) -> tuple[tuple[int, int, float, bool], ...]:
@@ -453,128 +394,79 @@ def rotate(
 def fill_images(state: IterationState, ops: list[BlockOp], conj) -> None:
     """Add to ops, in place, the blocks whose row sector is not a representative.
 
-    ops hold at least the blocks with representative row sectors; conj[i][k]
-    = (c, k2, transposed) says that generator i of the table takes ops[k] to
-    c ops[k2], or to c ops[k2]^T.  G X G^-1 has the block
-    sym(t1) X[t1, t2] sym(t2) at (G t1, G t2).  The generators act in table
-    order on the blocks known before each.
+    ops hold at least the blocks with representative row sectors, and
+    conj[k] = (c, k2) says F ops[k] F = c ops[k2].  F X F has the block
+    sym(t1) X[t1, t2] sym(t2) at (F t1, F t2).  Without F nothing is missing.
     """
-    for i, g in enumerate(state.symmetries):
-        image = {t: g.sector(t) for t in state.blocks}
-        known = [list(op.items()) for op in ops]
-        for (c, k2, transposed), items in zip(conj[i], known):
-            target = ops[k2]
-            for (t1, t2), m in items:
-                key = (image[t1], image[t2])
-                key = key[::-1] if transposed else key
-                if key in target:
-                    continue
-                img = m * state.blocks[t1].sym[i][:, None]
-                img *= c * state.blocks[t2].sym[i]
-                target[key] = img.T if transposed else img
+    if not state.flip:
+        return
+    blocks = state.blocks
+    known = [list(op.items()) for op in ops]
+    for (c, k2), items in zip(conj, known):
+        target = ops[k2]
+        for (t1, t2), m in items:
+            key = (_flipped(t1), _flipped(t2))
+            if key not in target:
+                target[key] = (c * blocks[t1].sym[:, None]) * m * blocks[t2].sym
 
 
-@lru_cache
-def _fdag_conjugation(g: Z2) -> tuple[tuple[float, int, bool], ...]:
-    """G f^dag_sigma G^-1 on a site, per spin sigma, as (c, spin, transposed):
-    c times f^dag_spin or its transpose."""
+def _flip_fdag() -> tuple[tuple[float, int], ...]:
+    """F f^dag_sigma F on a site, per spin sigma, as (c, spin): c f^dag_spin,
+    read off the site action FLIP, FLIP_SIGN."""
     site = np.zeros((4, 4))
-    site[list(g.perm), list(LOCAL_STATES)] = g.sign
+    site[list(FLIP), list(LOCAL_STATES)] = FLIP_SIGN
     return tuple(
         next(
-            (c, k, tr)
+            (c, k)
             for k, f in enumerate(FDAG)
-            for tr in (False, True)
             for c in (1.0, -1.0)
-            if np.array_equal(site @ op @ site.T, c * (f.T if tr else f))
+            if np.array_equal(site @ op @ site.T, c * f)
         )
         for op in FDAG
     )
 
 
-class _Action:
-    """The generators of a step's table on its product basis.
+_FLIP_FDAG = _flip_fdag()
 
-    A row is (old sector s, channel loc, kept index j); generator i sends it
-    to (G_i(s), perm[loc], j) with the sign sym_i(s)[j] times the channel
-    sign.  The rows of one (s, loc) pair form an entry of their product sector.
+
+def _flip_rows(old, layout: Layout, entries) -> tuple[np.ndarray, np.ndarray]:
+    """F on the rows of a product sector t, whose (old sector, channel, rows)
+    are entries, as (dest, sign): F e_r = sign[r] e_dest[r], dest a row of F(t).
+
+    The rows of (s, loc) go to those of (F(s), FLIP[loc]), with the sign
+    FLIP_SIGN[loc] sym(s).
     """
-
-    def __init__(self, gens, old, layout: Layout, entries):
-        self.gens, self.old, self.layout, self.entries = gens, old, layout, entries
-        self.moved = [{s: g.sector(s) for s in old} for g in gens]
-
-    def rows(self, i: int, t: Sector):
-        """Per entry of t: its rows, their images in G_i(t), and the sign."""
-        g, moved = self.gens[i], self.moved[i]
-        return [
-            (rows, self.layout[moved[s], g.perm[loc]][1], g.sign[loc] * self.old[s].sym[i])
-            for s, loc, rows in self.entries[t]
-        ]
-
-    def permutation(self, i: int, t: Sector) -> tuple[np.ndarray, np.ndarray]:
-        """Generator i as (dest, sign) on the rows of t: G e_r = sign[r] e_dest[r]."""
-        d = self.entries[t][-1][2].stop
-        dest, signs = np.empty(d, dtype=np.intp), np.empty(d)
-        for rows, image, sign in self.rows(i, t):
-            dest[rows], signs[rows] = np.arange(image.start, image.stop), sign
-        return dest, signs
-
-    def sign(self, word: tuple[int, ...], t: Sector) -> float:
-        """The sign that the generators of word, in order, give t's first row."""
-        (s, loc, _), sign = self.entries[t][0], 1.0
-        for i in word:
-            sign *= self.old[s].sym[i][0] * self.gens[i].sign[loc]
-            s, loc = self.moved[i][s], self.gens[i].perm[loc]
-        return sign
+    d = entries[-1][2].stop
+    dest, sign = np.empty(d, dtype=np.intp), np.empty(d)
+    for s, loc, rows in entries:
+        image = layout[_flipped(s), FLIP[loc]][1]
+        dest[rows] = np.arange(image.start, image.stop)
+        sign[rows] = FLIP_SIGN[loc] * old[s].sym
+    return dest, sign
 
 
-def _diagonalize_orbit(ham: np.ndarray, r: Sector, orbit, action: _Action):
-    """Energies, vectors and sym of every sector of r's orbit, from the lower
-    triangle of ham on r."""
-    gens = action.gens
-    if not gens:  # the orbit is r alone
+def _diagonalize_representative(flip: bool, old, layout: Layout, ham, r, entries):
+    """Energies, vectors and sym of the representative r, and of F(r) when F
+    moves it, from the lower triangle of ham on r; entries are r's (old
+    sector, channel, rows)."""
+    if not flip:
         w, v = _diagonalize(ham, r)
-        return {r: (w, v, ())}
-    fixed = [i for i, g in enumerate(gens) if g.sector(r) == r]
-    chi = {}  # fixed generator -> the character of each state
-    if fixed:
-        # a fixed generator maps the rows of r onto themselves, an involution;
-        # the character split gathers full rows, so each block above the
-        # diagonal is mirrored from the one below it, in place
-        slices = [rows for _, _, rows in action.entries[r]]
+        return {r: (w, v, None)}
+    dest, sign = _flip_rows(old, layout, entries)
+    if r.two_sz == 0:
+        # F maps the rows of r onto themselves; the parity split gathers full
+        # rows, so each block above the diagonal is mirrored from the one below
+        # it, in place
+        slices = [rows for _, _, rows in entries]
         for i, upper in enumerate(slices):
             for lower in slices[i + 1 :]:
                 ham[upper, lower] = ham[lower, upper].T
-        perms = [action.permutation(i, r) for i in fixed]
-        w, v, chars = _diagonalize_by_characters(ham, r, perms)
-        chi = dict(zip(fixed, chars))
-    else:
-        w, v = _diagonalize(ham, r)
-    vectors, words = {r: v}, {r: ()}
-    for u, (i, parent) in orbit.items():
-        if parent is not None:  # the image G_i V of the parent's vectors
-            vectors[u], words[u] = np.empty_like(v), words[parent] + (i,)
-            for rows, image, sign in action.rows(i, parent):
-                np.multiply(vectors[parent][rows], sign[:, None], out=vectors[u][image])
-
-    ones, out = np.ones(len(w)), {}
-    for u, word in words.items():
-        sym = []
-        for i, g in enumerate(gens):
-            image_word = words[g.sector(u)]
-            if word + (i,) == image_word:  # the image was built as G_i V_u
-                sym.append(ones)
-            elif not word and not image_word:  # G_i fixes r
-                sym.append(chi[i])
-            else:
-                # with W_u the generators of word, G_i W_u = lam W_image h on
-                # the rows of r, h the product of the fixed generators in rest
-                rest = tuple(sorted(set(word) ^ {i} ^ set(image_word)))
-                lam_ = action.sign(word + (i,), r) * action.sign(rest + image_word, r)
-                sym.append(lam_ * math.prod((chi[k] for k in rest), start=ones))
-        out[u] = (w, vectors[u], tuple(sym))
-    return out
+        return {r: _split_by_parity(ham, r, dest, sign)}
+    w, v = _diagonalize(ham, r)
+    image = np.empty_like(v)
+    image[dest] = v * sign[:, None]  # F V, a signed permutation of the rows
+    ones = np.ones(len(w))
+    return {r: (w, v, ones), _flipped(r): (w, image, ones)}
 
 
 def _extend(
@@ -584,8 +476,8 @@ def _extend(
 
     terms holds (c, A, B) triples; lam is None only for the impurity step.
     Each piece is written once, into the lower triangle, which is all that
-    `eigh` reads.  The orbits are diagonalized through mapper, largest block
-    first.
+    `eigh` reads.  The representatives are diagonalized through mapper,
+    largest block first.
     """
     n_new = state.n + 1
     scale = math.sqrt(lam) if n_new > 1 else 1.0
@@ -604,10 +496,10 @@ def _extend(
             off = parts[-1][2].stop if parts else 0
             layout[(s, loc)] = (t, slice(off, off + e))
             parts.append((s, loc, slice(off, off + e)))
-    # one representative per orbit is assembled and diagonalized
-    orbits = _orbits(entries, state.symmetries)
+    # only the representatives are assembled and diagonalized
+    reps = [r for r in sorted(entries, reverse=True) if not state.flip or r.two_sz >= 0]
     hams = {}
-    for r in orbits:
+    for r in reps:
         d = entries[r][-1][2].stop
         hams[r] = np.zeros((d, d))
         diagonal = [old[s].energies for s, _, _ in entries[r]]
@@ -631,11 +523,10 @@ def _extend(
                 np.multiply(a_blk, c * elem, out=h)
                 written.add((t, r.start, k.start))
 
-    action = _Action(state.symmetries, old, layout, entries)
     eig = {}  # sector -> (energies, vectors, sym)
-    reps = sorted(orbits, key=lambda r: -len(hams[r]))  # the largest first
-    args = [hams[r] for r in reps], reps, [orbits[r] for r in reps], repeat(action)
-    for out in mapper(_diagonalize_orbit, *args):
+    reps.sort(key=lambda r: -len(hams[r]))  # the largest first
+    solve = partial(_diagonalize_representative, state.flip, old, layout)
+    for out in mapper(solve, [hams[r] for r in reps], reps, [entries[r] for r in reps]):
         eig.update(out)
 
     shift = min(w[0] for w, _, _ in eig.values())
@@ -648,7 +539,7 @@ def _extend(
         e0_accumulated=state.e0_accumulated + unscale * shift,
         unscale=unscale,
         layout=layout,
-        symmetries=state.symmetries,
+        flip=state.flip,
     )
 
 
@@ -659,15 +550,13 @@ def init_impurity_site(k: KondoParams) -> IterationState:
     spin flip (J_perp/2)(S^- s^+ + h.c.) and the longitudinal Ising term
     J_par S_z s_z.  The chain kinetic energy starts at the next iteration.
     """
-    gens = symmetries_of(k)
-    # every generator maps a bare state to the bare state of its sector image
+    flip = k.field == 0.0
+    sym = np.ones(1) if flip else None  # F maps each bare state to the other
     blocks = {
-        s: SectorBlock(
-            np.array([0.5 * k.field * s.two_sz]), np.eye(1), (np.ones(1),) * len(gens)
-        )
+        s: SectorBlock(np.array([0.5 * k.field * s.two_sz]), np.eye(1), sym)
         for s in (_BARE_DN, _BARE_UP)
     }
-    bare = IterationState(n=-1, blocks=blocks, e0_accumulated=0.0, symmetries=gens)
+    bare = IterationState(n=-1, blocks=blocks, e0_accumulated=0.0, flip=flip)
     return _extend(
         bare, [(0.5 * k.jperp, S_MINUS, SITE_S_PLUS), (0.5 * k.jpar, S_Z, SITE_S_Z)]
     )
@@ -682,8 +571,7 @@ def _fdag_blocks(state: IterationState) -> list[BlockOp]:
     """
     reps = state.representatives()
     fdag = [rotate(state, None, site, reps)[0] for site in _SITE_FDAG]
-    conj = [_fdag_conjugation(g) for g in state.symmetries]
-    fill_images(state, fdag, conj)
+    fill_images(state, fdag, _FLIP_FDAG)
     return fdag
 
 
@@ -695,7 +583,7 @@ def add_site(state: IterationState, chain: WilsonChain, mapper=map) -> Iteration
     f_sigma enters twice: lowering I, as the transpose of the previous newest
     site's f^dag_sigma blocks (`_fdag_blocks`) with `_site_fdag`, and raising
     I, through the f^dag_sigma blocks themselves with `_site_raising`.
-    mapper runs the orbits' diagonalizations (see `_extend`).
+    mapper runs the representatives' diagonalizations (see `_extend`).
     """
     if state.n + 1 > chain.length:
         raise EngineError(
@@ -743,7 +631,7 @@ def truncate(state: IterationState, n_keep: int) -> IterationState:
             blocks[s] = b
         elif c:
             # copies, so that the untruncated arrays are freed
-            sym = tuple(x[:c] for x in b.sym)
+            sym = None if b.sym is None else b.sym[:c]
             energies, vectors = b.energies[:c].copy(), b.vectors[:, :c].copy()
             blocks[s] = SectorBlock(energies, vectors, sym, b.mult)
     return replace(state, blocks=blocks)
@@ -823,8 +711,8 @@ def _openblas():
 
 
 @contextlib.contextmanager
-def _orbit_mapper():
-    """The mapper that `run` diagonalizes each iteration's orbits with.
+def _block_mapper():
+    """The mapper that `run` diagonalizes each iteration's blocks with.
 
     A thread pool, one thread per usable CPU, while OpenBLAS is held on one
     thread (a multithreaded BLAS under the pool oversubscribes the cores);
@@ -879,7 +767,7 @@ def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceR
     history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
 
     scale_met = plateau_met = even_odd = False
-    with _orbit_mapper() as mapper:
+    with _block_mapper() as mapper:
         while state.n < cfg.n_max:
             state = add_site(state, chain, mapper)
             state = truncate(state, cfg.n_keep)

@@ -27,10 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEGENERACY_TOL, SPIN_FLIP, BlockOp, IterationState
+from .engine import DEGENERACY_TOL, BlockOp, IterationState
 from .engine import fill_images, rotate
 from .engine import S_MINUS, S_Z, SITE_ONE, SITE_S_PLUS  # bare impurity and site ops
 from .params import DomainError
+
+# F O_x F = O_x and F S_z F = -S_z, as `fill_images` reads them
+_FLIP_OPS = ((1.0, 0), (-1.0, 1))
 
 
 @dataclass
@@ -66,11 +69,7 @@ def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
             f"cannot propagate operators tagged n={ops.n} to iteration n={state.n}"
         )
     rotated = rotate(state, (ops.ox, ops.oz), SITE_ONE, state.representatives())
-    conj = [
-        ((1.0, 0, False), (-1.0 if g == SPIN_FLIP else 1.0, 1, False))
-        for g in state.symmetries
-    ]
-    fill_images(state, rotated, conj)
+    fill_images(state, rotated, _FLIP_OPS)
     return OperatorBlocks(n=state.n, ox=rotated[0], oz=rotated[1])
 
 

@@ -31,7 +31,7 @@ from spinboson_nrg import (
     truncate,
 )
 import spinboson_nrg.engine as engine_mod
-from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, SITE_ONE, SPIN_FLIP
+from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, SITE_ONE
 from spinboson_nrg.engine import EngineError
 from spinboson_nrg.engine import _n_star, _plateau_status
 from spinboson_nrg.engine import rotate
@@ -288,9 +288,10 @@ class TestTruncate:
                     assert b.mult == full.mult == s.q + 1
                     assert np.array_equal(b.energies, full.energies[:c])
                     assert np.array_equal(b.vectors, full.vectors[:, :c])
-                    assert len(b.sym) == len(full.sym)
-                    for x, y in zip(b.sym, full.sym):
-                        assert np.array_equal(x, y[:c])
+                    # F parities at zero field, none without F
+                    assert (b.sym is None) == (full.sym is None) == (eps > 0.0)
+                    if full.sym is not None:
+                        assert np.array_equal(b.sym, full.sym[:c])
                 st = out
 
     def test_no_clear_gap_keeps_everything(self):
@@ -461,11 +462,13 @@ class TestOrbitPool:
         monkeypatch.setattr(np.linalg, "eigh", probe)
         p = SpinBosonPoint(alpha=0.4, epsilon=0.0, delta_ratio=0.04)
         try:
-            if fail:
-                with pytest.raises(EngineError, match="eigensolver failed"):
+            # n_max = 4 is below N*
+            with pytest.warns(UserWarning, match=r"N\*"):
+                if fail:
+                    with pytest.raises(EngineError, match="eigensolver failed"):
+                        run(p, NRGConfig(n_max=4))
+                else:
                     run(p, NRGConfig(n_max=4))
-            else:
-                run(p, NRGConfig(n_max=4))
             assert get() == before
         finally:
             set_(saved)
@@ -532,21 +535,25 @@ def _alpha_04(eps):
     return map_to_kondo(SpinBosonPoint(alpha=0.4, epsilon=eps, delta_ratio=0.04))
 
 
-def _action(new, old, i, t):
-    """Generator i on the product rows, as the matrix from t to its image."""
-    g = new.symmetries[i]
+def _mirror(t):
+    """The sector F maps t to."""
+    return Sector(t.q, -t.two_sz)
+
+
+def _flip_action(new, old, t):
+    """F on the product rows, as the matrix from t to its image."""
     dims = {s: b.vectors.shape[0] for s, b in new.blocks.items()}
-    m = np.zeros((dims[g.sector(t)], dims[t]))
+    m = np.zeros((dims[_mirror(t)], dims[t]))
     for (s, loc), (sec, rows) in new.layout.items():
         if sec == t:
-            image = new.layout[(g.sector(s), g.perm[loc])][1]
-            sign = g.sign[loc] * old.blocks[s].sym[i]
+            image = new.layout[(_mirror(s), FLIP[loc])][1]
+            sign = FLIP_SIGN[loc] * old.blocks[s].sym
             m[np.r_[image], np.r_[rows]] = sign
     return m
 
 
-def _oracle_action(g, sites):
-    """g in the oracle's occupation basis, the product of its site actions."""
+def _oracle_flip(sites):
+    """F in the oracle's occupation basis, the product of its site actions."""
     code = {EMPTY: (0, 0), UP: (1, 0), DN: (0, 1), DOUBLE: (1, 1)}
     local = {bits: loc for loc, bits in code.items()}
     n_orb = 2 * sites
@@ -556,15 +563,14 @@ def _oracle_action(g, sites):
         image, sign = 0, 1.0
         for n in range(sites):
             loc = local[((occ >> 2 * n) & 1, (occ >> (2 * n + 1)) & 1)]
-            up, dn = code[g.perm[loc]]
+            up, dn = code[FLIP[loc]]
             image |= (up << 2 * n) | (dn << (2 * n + 1))
-            sign *= g.sign[loc]
-        if g.scale[1] < 0:
-            imp = 1 - imp
-        m[(imp << n_orb) | image, state] = sign
+            sign *= FLIP_SIGN[loc]
+        m[((1 - imp) << n_orb) | image, state] = sign
     return m
 
 
+# F and the identity form the group Z2; its characters are the F parities
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 class TestZ2Symmetry:
     def test_only_representatives_are_diagonalized(self, eps, monkeypatch):
@@ -578,7 +584,7 @@ class TestZ2Symmetry:
         monkeypatch.setattr(engine_mod, "_diagonalize", recording)
         chain = build_chain(2.0, 8)
         st = init_impurity_site(_alpha_04(eps))
-        assert st.symmetries == ((SPIN_FLIP,) if eps == 0.0 else ())
+        assert st.flip == (eps == 0.0)
         for _ in range(8):
             calls.clear()
             new = add_site(st, chain)
@@ -589,10 +595,10 @@ class TestZ2Symmetry:
                 if t not in reps:
                     assert dims == []
                     continue
-                # one block per character of the generators that fix t
-                fixed = [g for g in new.symmetries if g.sector(t) == t]
+                # an F-even and an F-odd block where F fixes t
+                fixed = new.flip and _mirror(t) == t
                 assert sum(dims) == blk.vectors.shape[0]
-                assert len(dims) <= 2 ** len(fixed)
+                assert len(dims) <= (2 if fixed else 1)
             if Sector(0, 0) in new.blocks:  # on every other iteration
                 # at zero field fixed by F, and split into F-even and F-odd
                 split = len([s for s, _ in calls if s == Sector(0, 0)])
@@ -605,35 +611,37 @@ class TestZ2Symmetry:
         for _ in range(10):
             new = add_site(old, chain)
             for t, blk in new.blocks.items():
-                for i, g in enumerate(new.symmetries):
-                    u = g.sector(t)
-                    image, sym = new.blocks[u], blk.sym[i]
-                    assert set(np.unique(sym)) <= {-1.0, 1.0}
-                    assert np.array_equal(image.energies, blk.energies)
-                    gv = _action(new, old, i, t) @ blk.vectors
-                    if u == t:
-                        # the characters of a fixed sector
-                        np.testing.assert_allclose(
-                            blk.vectors.T @ gv, np.diag(sym), rtol=0, atol=1e-12
-                        )
-                    else:
-                        assert np.array_equal(gv, image.vectors * sym)
+                if not new.flip:
+                    assert blk.sym is None
+                    continue
+                u = _mirror(t)
+                image, sym = new.blocks[u], blk.sym
+                assert set(np.unique(sym)) <= {-1.0, 1.0}
+                assert np.array_equal(image.energies, blk.energies)
+                fv = _flip_action(new, old, t) @ blk.vectors
+                if u == t:
+                    # the parities of a fixed sector
+                    np.testing.assert_allclose(
+                        blk.vectors.T @ fv, np.diag(sym), rtol=0, atol=1e-12
+                    )
+                else:
+                    assert np.array_equal(fv, image.vectors * sym)
             old = truncate(new, 120)
 
     def test_kept_energies_match_unsymmetrized_path(self, eps):
-        # at eps > 0 the table is empty, so the reference is the run at the
+        # at eps > 0 F does not hold, so the reference is the run at the
         # opposite field, whose sectors are the mirror images (2I, -2Sz)
         chain = build_chain(2.0, 13)
         k = _alpha_04(eps)
         sym = init_impurity_site(k)
         if eps == 0.0:
-            ref, mirror = replace(sym, symmetries=()), lambda t: t
+            ref, mirror = replace(sym, flip=False), lambda t: t
         else:
-            ref, mirror = init_impurity_site(replace(k, field=-k.field)), SPIN_FLIP.sector
+            ref, mirror = init_impurity_site(replace(k, field=-k.field)), _mirror
         for _ in range(12):
             sym = truncate(add_site(sym, chain), 150)
             ref = truncate(add_site(ref, chain), 150)
-            assert ref.symmetries == () and ref.representatives() == ref.blocks.keys()
+            assert not ref.flip and ref.representatives() == ref.blocks.keys()
             assert {mirror(t) for t in sym.blocks} == ref.blocks.keys()
             for t in sym.blocks:
                 np.testing.assert_allclose(
@@ -661,12 +669,12 @@ class TestZ2Symmetry:
     def test_isospin_and_flip_commute_with_oracle_hamiltonian(self, eps):
         k = _alpha_04(eps)
         ham, labels, _ = full_hamiltonian(k, build_chain(2.0, 3), 3)
-        m = _oracle_action(SPIN_FLIP, 3)
+        m = _oracle_flip(3)
         assert np.array_equal(m @ m.T, np.eye(len(m)))
         # the sector map: labels of the image states
         image = np.argmax(np.abs(m), axis=0)
-        assert np.array_equal(labels[image], labels * np.array(SPIN_FLIP.scale))
-        holds = SPIN_FLIP in engine_mod.symmetries_of(k)
+        assert np.array_equal(labels[image], labels * np.array((1, -1)))
+        holds = init_impurity_site(k).flip
         commutator = np.abs(m @ ham - ham @ m).max()
         assert (commutator < 1e-14) if holds else (commutator > 1e-3)
         # the staggered isospin raiser commutes at every field; F flips its sign
@@ -774,16 +782,16 @@ def test_ising_term_alone_matches_oracle(field):
 
 
 def test_character_split_sees_a_symmetric_matrix(monkeypatch):
-    # a block is assembled in its lower triangle; the character split of a
+    # a block is assembled in its lower triangle; the parity split of a
     # fixed sector gathers full rows, so it must get the mirrored matrix
     seen = []
-    split = engine_mod._diagonalize_by_characters
+    split = engine_mod._split_by_parity
 
-    def recording(ham, sector, acts):
+    def recording(ham, sector, dest, sign):
         seen.append(ham.copy())
-        return split(ham, sector, acts)
+        return split(ham, sector, dest, sign)
 
-    monkeypatch.setattr(engine_mod, "_diagonalize_by_characters", recording)
+    monkeypatch.setattr(engine_mod, "_split_by_parity", recording)
     chain = build_chain(2.0, 6)
     st = init_impurity_site(_alpha_04(0.0))
     for _ in range(5):
@@ -792,6 +800,44 @@ def test_character_split_sees_a_symmetric_matrix(monkeypatch):
     for ham in seen:
         assert np.array_equal(ham, ham.T)
     assert any(np.count_nonzero(np.triu(ham, 1)) for ham in seen)
+
+
+def test_parity_split_diagonalizes_each_parity(monkeypatch):
+    # F swaps three row pairs (one with sign +1, two with -1) and fixes two
+    # rows of each sign; the rows are shuffled so that no pair is adjacent
+    sizes = []
+    diagonalize = engine_mod._diagonalize
+
+    def recording(ham, sector):
+        sizes.append(len(ham))
+        return diagonalize(ham, sector)
+
+    monkeypatch.setattr(engine_mod, "_diagonalize", recording)
+    rng = np.random.default_rng(5)
+    d = 10
+    rows = rng.permutation(d)
+    dest, sign = np.arange(d), np.ones(d)
+    for (a, b), c in zip(rows[:6].reshape(3, 2), (1.0, -1.0, -1.0)):
+        dest[a], dest[b] = b, a
+        sign[a] = sign[b] = c
+    sign[rows[6:8]] = -1.0  # fixed F-odd rows; rows[8:] are fixed F-even
+    f = np.zeros((d, d))
+    f[dest, np.arange(d)] = sign
+    assert np.array_equal(f @ f, np.eye(d))
+    a = rng.standard_normal((d, d))
+    ham = 0.5 * ((a + a.T) + f @ (a + a.T) @ f)  # symmetric, commutes with F
+    w, v, parity = engine_mod._split_by_parity(ham, Sector(0, 0), dest, sign)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(ham), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(d), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f @ v, v * parity, rtol=0, atol=1e-12)
+    # a pair gives a state to each parity, a fixed row to its own
+    assert sorted(parity) == [-1.0] * 5 + [1.0] * 5
+    assert sizes == [5, 5]
+    # with every row fixed and even there is no F-odd block to diagonalize
+    sizes.clear()
+    w, v, parity = engine_mod._split_by_parity(ham, Sector(0, 0), np.arange(d), np.ones(d))
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(ham), rtol=0, atol=1e-12)
+    assert sizes == [d] and np.array_equal(parity, np.ones(d))
 
 
 def _two_site_fdag():

@@ -138,7 +138,8 @@ class TestExpectationValues:
     def test_sign_convention(self):
         # run alone flips the raw read-out of the last iteration
         p = SpinBosonPoint(alpha=0.5, epsilon=0.25, delta_ratio=0.1)
-        _, report = run(p, NRGConfig(n_max=8))
+        with pytest.warns(UserWarning, match=r"N\*"):  # n_max = 8 is below N*
+            _, report = run(p, NRGConfig(n_max=8))
         assert not report.even_odd_averaged
         n, sx_raw, sz_raw = report.history[-1]
         assert n == report.n_m

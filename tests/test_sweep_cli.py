@@ -40,10 +40,12 @@ def sample_record():
 
 class TestRunPoint:
     def test_mapping_warning_names_the_callers_line(self):
-        # outside the longitudinal sector: rho0 J_perp = 0.1 > rho0 J_par
-        with pytest.warns(UserWarning, match="longitudinal") as caught:
-            run_point(SpinBosonPoint(0.95, 0.0, 0.1), NRGConfig(n_max=2))
-        # with it comes the warning that n_max = 2 lies below the depth N*
+        # outside the longitudinal sector: rho0 J_perp = 0.1 > rho0 J_par; with
+        # it comes the warning that n_max = 2 lies below the depth N*, and the
+        # inner check passes the mapping warning on to the outer one
+        with pytest.warns(UserWarning, match="longitudinal"):
+            with pytest.warns(UserWarning, match=r"N\*") as caught:
+                run_point(SpinBosonPoint(0.95, 0.0, 0.1), NRGConfig(n_max=2))
         assert [w.filename for w in caught] == [__file__, __file__]
         assert sum("N*=" in str(w.message) for w in caught) == 1
 
@@ -133,7 +135,7 @@ def _blas_threads_probe(_):
     """
     settings = tuple(os.getenv(v) for v in sweep_mod.BLAS_THREAD_VARS)
     blas = engine_mod._openblas()
-    with engine_mod._orbit_mapper() as mapper:
+    with engine_mod._block_mapper() as mapper:
         serial = mapper is map
     return settings, None if blas is None else blas[0](), serial
 
