@@ -59,9 +59,10 @@ same energies and the vectors F V, so the pair is bitwise degenerate and
 truncation never separates it; as F^2 = 1, F takes the mirror's states back
 with sign +1 too, so sym is +1 on both.  A sector that F fixes (two_sz = 0)
 is split into its F-even and F-odd blocks (`_split_by_parity`), and its sym
-is the parity of each state.  Operators are rotated into the representative
-row sectors only, and `fill_images` gives the other blocks: F X F has the
-block sym(t1) X[t1, t2] sym(t2) at (F t1, F t2).  Without F every sector is
+is the parity of each state.  F X F has the block sym(t1) X[t1, t2] sym(t2)
+at (F t1, F t2), `_mirror`: an operator given to `rotate` with its F parity
+is rotated into the representative row sectors only and completed by its
+mirror, and f^dag_dn is the mirror of f^dag_up.  Without F every sector is
 diagonalized in full and sym is None.
 
 Rescaling convention: stored sector energies at iteration N are
@@ -105,6 +106,7 @@ import contextlib
 import math
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -336,17 +338,18 @@ def rotate(
     state: IterationState,
     ops: tuple[BlockOp, ...] | None,
     b,
-    to_sectors: set[Sector] | None = None,
+    parity: tuple[float, ...] | None = None,
 ) -> list[BlockOp]:
     """A (x) B in the kept eigenbasis of state, for each A in ops.
 
     The A act on the block of the previous iteration; ops None stands for
     that block's identity alone.  B acts on the channels of the newest site
     (a matrix, or a function of the old sector's q, as in `_pieces`).
-    to_sectors, when given, limits the results to the blocks whose row sector
-    it contains.  One pass per block (t_to, t_from) of the result: Y[rows] =
-    elem A U_from[cols] for each of its pieces, with the A of all ops stacked
-    (a missing block as zeros), then U_to^T Y.
+    parity, when given, is the F parity of each result, F X_k F = parity[k]
+    X_k: under F only the representative row sectors are rotated, and
+    `_mirror` completes the rest.  One pass per block (t_to, t_from) of the
+    result: Y[rows] = elem A U_from[cols] for each of its pieces, with the A
+    of all ops stacked (a missing block as zeros), then U_to^T Y.
     """
     if ops is None:
         a = {(s, s): None for s in sorted({s for s, _ in state.layout})}
@@ -360,7 +363,8 @@ def rotate(
             a[k] = np.array(blks) if len(blks) > 1 else blks[0]
     blocks = state.blocks
     groups: dict[tuple[Sector, Sector], list] = {}
-    targets = blocks if to_sectors is None else to_sectors
+    mirrored = parity is not None and state.flip
+    targets = state.representatives() if mirrored else blocks
     for (t_to, rows), (t_from, cols), elem, m in _pieces(
         state.layout, state.n, a, b, targets
     ):
@@ -388,45 +392,32 @@ def rotate(
         z = u_to.T @ y
         for o, m in zip(out, z if stack else (z,)):
             o[key] = m
+    if mirrored:
+        for o, c in zip(out, parity):
+            o.update(_mirror(state, {k: m for k, m in o.items() if k[0].two_sz > 0}, c))
     return out
 
 
-def fill_images(state: IterationState, ops: list[BlockOp], conj) -> None:
-    """Add to ops, in place, the blocks whose row sector is not a representative.
-
-    ops hold at least the blocks with representative row sectors, and
-    conj[k] = (c, k2) says F ops[k] F = c ops[k2].  F X F has the block
-    sym(t1) X[t1, t2] sym(t2) at (F t1, F t2).  Without F nothing is missing.
-    """
-    if not state.flip:
-        return
+def _mirror(state: IterationState, op: BlockOp, c: float) -> BlockOp:
+    """c F op F, block by block: c sym(t1) op[t1, t2] sym(t2) at (F t1, F t2)."""
     blocks = state.blocks
-    known = [list(op.items()) for op in ops]
-    for (c, k2), items in zip(conj, known):
-        target = ops[k2]
-        for (t1, t2), m in items:
-            key = (_flipped(t1), _flipped(t2))
-            if key not in target:
-                target[key] = (c * blocks[t1].sym[:, None]) * m * blocks[t2].sym
+    return {
+        (_flipped(t1), _flipped(t2)): (c * blocks[t1].sym[:, None]) * m * blocks[t2].sym
+        for (t1, t2), m in op.items()
+    }
 
 
-def _flip_fdag() -> tuple[tuple[float, int], ...]:
-    """F f^dag_sigma F on a site, per spin sigma, as (c, spin): c f^dag_spin,
-    read off the site action FLIP, FLIP_SIGN."""
+def _fdag_flip_sign() -> float:
+    """c in F f^dag_up F = c f^dag_dn on a site, read off FLIP, FLIP_SIGN; the
+    unpacking fails unless one c holds exactly."""
     site = np.zeros((4, 4))
     site[list(FLIP), list(LOCAL_STATES)] = FLIP_SIGN
-    return tuple(
-        next(
-            (c, k)
-            for k, f in enumerate(FDAG)
-            for c in (1.0, -1.0)
-            if np.array_equal(site @ op @ site.T, c * f)
-        )
-        for op in FDAG
-    )
+    image = site @ FDAG_UP @ site.T
+    (c,) = [c for c in (1.0, -1.0) if np.array_equal(image, c * FDAG_DN)]
+    return c
 
 
-_FLIP_FDAG = _flip_fdag()
+_FDAG_FLIP_SIGN = _fdag_flip_sign()
 
 
 def _flip_rows(old, layout: Layout, entries) -> tuple[np.ndarray, np.ndarray]:
@@ -566,13 +557,14 @@ def _fdag_blocks(state: IterationState) -> list[BlockOp]:
     """f^dag_up and f^dag_dn of the newest site in the kept eigenbasis, as
     their highest-weight blocks from I to I + 1/2.
 
-    Both are rotated into the representative row sectors only; `fill_images`
-    gives the other blocks.
+    f^dag_up is rotated into every row sector.  Under F, f^dag_dn is its
+    `_mirror` (F f^dag_up F = c f^dag_dn), at the work of rotating both into
+    the representative rows; without F it is rotated too.
     """
-    reps = state.representatives()
-    fdag = [rotate(state, None, site, reps)[0] for site in _SITE_FDAG]
-    fill_images(state, fdag, _FLIP_FDAG)
-    return fdag
+    up = rotate(state, None, _SITE_FDAG[0])[0]
+    if state.flip:
+        return [up, _mirror(state, up, _FDAG_FLIP_SIGN)]
+    return [up, rotate(state, None, _SITE_FDAG[1])[0]]
 
 
 def add_site(state: IterationState, chain: WilsonChain, mapper=map) -> IterationState:
@@ -710,17 +702,21 @@ def _openblas():
     return None
 
 
+# the OpenBLAS count that the first run in found, once per run holding the pin
+_PIN_LOCK, _pinned = threading.Lock(), []
+
+
 @contextlib.contextmanager
 def _block_mapper():
     """The mapper that `run` diagonalizes each iteration's blocks with.
 
     A thread pool, one thread per usable CPU, while OpenBLAS is held on one
-    thread (a multithreaded BLAS under the pool oversubscribes the cores);
-    the count it had is restored on exit.  The builtin map keeps the run
-    serial where OpenBLAS is not found, as its threads cannot be pinned, and
-    in a multiprocessing worker, whose sibling processes (a `run_sweep` pool)
-    fill the cores already.  The count is process-wide: runs in concurrent
-    threads of one process each restore the count they read.
+    thread (a multithreaded BLAS under the pool oversubscribes the cores).
+    The builtin map keeps the run serial where OpenBLAS is not found, as its
+    threads cannot be pinned, and in a multiprocessing worker, whose sibling
+    processes (a `run_sweep` pool) fill the cores already.  Concurrent runs
+    in one process share the process-wide pin: the first one in reads the
+    count, and the last one out restores it.
     """
     # a multiprocessing worker has imported multiprocessing; elsewhere the
     # check does not import it
@@ -730,15 +726,19 @@ def _block_mapper():
         yield map
         return
     get, set_ = blas
-    saved = get()
-    set_(1)
+    with _PIN_LOCK:
+        _pinned.append(_pinned[0] if _pinned else get())
+        set_(1)
     try:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = len(affinity(0)) if affinity else os.cpu_count()
         with ThreadPoolExecutor(workers) as pool:
             yield pool.map
     finally:
-        set_(saved)
+        with _PIN_LOCK:
+            saved = _pinned.pop()
+            if not _pinned:  # the last run out
+                set_(saved)
 
 
 def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:

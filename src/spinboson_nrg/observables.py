@@ -10,7 +10,8 @@ O (x) 1.  Both are charge-isospin scalars and conserve the total spin
 projection, so their blocks are keyed (s, s) and hold the same matrix on
 every member of a multiplet as on its highest weight, and both contain an
 even number of fermion operators, so no sign strings appear when a site is
-added.
+added.  Each declares only its parity under the spin flip (O_x even, S_z
+odd), from which `rotate` completes the blocks that the flip mirrors.
 
 Sign convention: with the Hamiltonian used here the raw ground-state
 correlator <O_x + O_x^dag> is negative and, for a positive field, <2 S_z> is
@@ -27,13 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEGENERACY_TOL, BlockOp, IterationState
-from .engine import fill_images, rotate
+from .engine import DEGENERACY_TOL, BlockOp, IterationState, rotate
 from .engine import S_MINUS, S_Z, SITE_ONE, SITE_S_PLUS  # bare impurity and site ops
 from .params import DomainError
-
-# F O_x F = O_x and F S_z F = -S_z, as `fill_images` reads them
-_FLIP_OPS = ((1.0, 0), (-1.0, 1))
 
 
 @dataclass
@@ -61,16 +58,15 @@ def init_operator_blocks(state: IterationState) -> OperatorBlocks:
 def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
     """Rotate O (x) 1 into the kept eigenbasis of the next iteration.
 
-    Both operators are rotated in one pass, into the representative sectors
-    only; `fill_images` gives the rest: F S_z F = -S_z while F O_x F = O_x.
+    Both operators are rotated in one pass, with their spin-flip parities:
+    O_x is even and S_z is odd.
     """
     if state.layout is None or state.n != ops.n + 1:
         raise ValueError(
             f"cannot propagate operators tagged n={ops.n} to iteration n={state.n}"
         )
-    rotated = rotate(state, (ops.ox, ops.oz), SITE_ONE, state.representatives())
-    fill_images(state, rotated, _FLIP_OPS)
-    return OperatorBlocks(n=state.n, ox=rotated[0], oz=rotated[1])
+    ox, oz = rotate(state, (ops.ox, ops.oz), SITE_ONE, (1.0, -1.0))
+    return OperatorBlocks(n=state.n, ox=ox, oz=oz)
 
 
 def ground_expectation_raw(

@@ -221,8 +221,11 @@ def run_sweep(
 ) -> list[ObservableRecord]:
     """Evaluate every grid point; with jobs > 1, points run in a process pool.
 
-    Pool workers run BLAS single-threaded (see `_process_pool`).
+    Pool workers run BLAS single-threaded (see `_process_pool`).  jobs < 1
+    raises DomainError before any point is solved.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     work = [(p, cfg) for p in spec.points()]
     records = []
     with contextlib.ExitStack() as stack:

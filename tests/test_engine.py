@@ -443,6 +443,38 @@ class TestOrbitPool:
             sys.setswitchinterval(interval)
 
     @needs_openblas
+    def test_overlapping_runs_share_the_pin(self):
+        # run A enters, then run B, then A exits: B's pool still runs with
+        # OpenBLAS on one thread, and the last run out restores the count
+        get, set_ = engine_mod._openblas()
+        saved = get()
+        set_(2)
+        events = [(threading.Event(), threading.Event()) for _ in "AB"]
+
+        def hold(entered, leave):
+            with engine_mod._block_mapper():
+                entered.set()
+                leave.wait(30)
+
+        a, b = (threading.Thread(target=hold, args=e) for e in events)
+        try:
+            a.start()
+            assert events[0][0].wait(30)
+            b.start()
+            assert events[1][0].wait(30)
+            events[0][1].set()
+            a.join()
+            during = get()
+            events[1][1].set()
+            b.join()
+            after = get()
+        finally:
+            for _, leave in events:
+                leave.set()
+            set_(saved)
+        assert (during, after) == (1, 2)
+
+    @needs_openblas
     @pytest.mark.parametrize("fail", [False, True])
     def test_blas_threads_pinned_and_restored(self, fail, monkeypatch):
         get, set_ = engine_mod._openblas()
@@ -665,6 +697,40 @@ class TestZ2Symmetry:
                 assert op.keys() == ref.keys()
                 for key in ref:
                     np.testing.assert_allclose(op[key], ref[key], rtol=0, atol=1e-12)
+
+    def test_image_rows_are_mirrored_not_rotated(self, eps, monkeypatch):
+        # what `rotate` is asked to compute, per call of `_pieces`: the site
+        # factor and the row sectors
+        calls = []
+        pieces = engine_mod._pieces
+
+        def recording(layout, n_old_sites, a, b, row_sectors):
+            calls.append((b, set(row_sectors)))
+            return pieces(layout, n_old_sites, a, b, row_sectors)
+
+        chain = build_chain(2.0, 6)
+        st = init_impurity_site(_alpha_04(eps))
+        ops = init_operator_blocks(st)
+        for _ in range(5):
+            st = truncate(add_site(st, chain), 120)
+            monkeypatch.setattr(engine_mod, "_pieces", recording)
+            calls.clear()
+            engine_mod._fdag_blocks(st)
+            fdag_calls = list(calls)
+            calls.clear()
+            ops = propagate(ops, st)
+            monkeypatch.setattr(engine_mod, "_pieces", pieces)
+            every, reps = set(st.blocks), st.representatives()
+            if eps == 0.0:
+                # f^dag_dn is the mirror of f^dag_up, and the observables are
+                # rotated into the representative rows only
+                assert reps < every
+                assert fdag_calls == [(engine_mod._SITE_FDAG[0], every)]
+                assert calls == [(SITE_ONE, reps)]
+            else:
+                assert reps == every
+                assert fdag_calls == [(site, every) for site in engine_mod._SITE_FDAG]
+                assert calls == [(SITE_ONE, every)]
 
     def test_isospin_and_flip_commute_with_oracle_hamiltonian(self, eps):
         k = _alpha_04(eps)

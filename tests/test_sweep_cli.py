@@ -349,6 +349,22 @@ class TestCLI:
         assert main(["sweep", "--alpha", axis]) == 1
         assert capsys.readouterr().err.startswith("error: bad axis")
 
+    def test_non_positive_jobs_exit_code(self, tmp_path, capsys, monkeypatch):
+        solved = []
+
+        def solve(p, cfg):
+            solved.append(p)
+            raise RuntimeError("a point was solved")
+
+        monkeypatch.setattr(sweep_mod, "run_point", solve)
+        conf = tmp_path / "c.conf"
+        conf.write_text("jobs = 0\n")
+        # the flag and the config key alike, before any point is solved
+        for extra in (["--jobs", "0"], ["--jobs", "-2"], ["--config", str(conf)]):
+            assert main(["point", "--alpha", "0.5", *extra]) == 1
+            assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
+        assert solved == []
+
     def test_usage_error_exit_code(self):
         assert main(["point"]) == 1  # --alpha is required
         assert main(["frobnicate"]) == 1
