@@ -80,12 +80,14 @@ moved up to the next clear gap (see `truncate`); blocks are ascending, so
 each sector keeps a prefix.
 
 Concurrency: the representatives of one iteration are independent
-eigenproblems.  `run` diagonalizes them on a thread pool, one thread per
-usable CPU, largest block first, with OpenBLAS held on one thread for the
-loop (`_block_mapper`): numpy's `eigh` releases the GIL, and a multithreaded
-BLAS under the pool would oversubscribe the cores.  The results are
-gathered by sector, so a pooled run matches a serial one at the same BLAS
-thread count bit for bit.
+eigenproblems, and numpy's `eigh` releases the GIL.  `run` diagonalizes them
+on the calling thread and one helper thread per further usable CPU, with
+OpenBLAS held on one thread for the run (`_block_mapper`): a multithreaded
+BLAS beside the helpers would oversubscribe the cores.  The blocks come
+largest first; the helpers take from the large end, and the caller takes the
+small blocks meanwhile (`_BlockPool`).  With one usable CPU there is no
+helper.  The results are gathered by sector, so any of these runs matches a
+serial one at the same BLAS thread count bit for bit.
 `add_site` and `_extend` take the mapper, the builtin map by default, as the
 oracle and direct callers use them; `run` stays serial too where numpy's
 OpenBLAS is not found and in the worker processes of a sweep.
@@ -105,10 +107,10 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import queue
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -702,6 +704,83 @@ def _openblas():
     return None
 
 
+class _BlockPool:
+    """Helper threads that diagonalize an iteration's blocks with the caller.
+
+    `map` takes its tasks largest block first, a block's rows being the length
+    of a task's first argument, and drains them from both ends.  Each helper
+    takes from the large end.  The caller takes from the small end while the
+    smallest block left has at most half the rows of the largest left, and
+    from the large end after that, so the step still ends on the smallest
+    blocks.  (A caller always at the small end can meet the helpers at a
+    mid-size block that ends the step late.)  The first exception raised in
+    any share stops the drain, and the caller raises it once every helper is
+    back.  Without helpers `map` is the builtin map.  `close` stops the
+    helpers.
+    """
+
+    def __init__(self, helpers: int):
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads = [
+            threading.Thread(target=self._serve, daemon=True) for _ in range(helpers)
+        ]
+        for t in self._threads:
+            t.start()
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            job()
+            # the job holds its step's blocks and results: free them now,
+            # not when the next step's job arrives
+            del job
+
+    def close(self) -> None:
+        for _ in self._threads:
+            self._jobs.put(None)
+        for t in self._threads:
+            t.join()
+
+    def map(self, fn, *iterables) -> list:
+        if not self._threads:
+            return list(map(fn, *iterables))
+        tasks = list(zip(*iterables))
+        rows = [len(args[0]) for args in tasks]
+        results: list = [None] * len(tasks)
+        lock, ends, failures = threading.Lock(), [0, len(tasks)], []
+        back: queue.SimpleQueue = queue.SimpleQueue()
+
+        def take(caller: bool) -> int | None:
+            with lock:
+                lo, hi = ends
+                if failures or lo == hi:
+                    return None
+                if caller and 2 * rows[hi - 1] <= rows[lo]:
+                    ends[1] = hi - 1
+                    return hi - 1
+                ends[0] = lo + 1
+                return lo
+
+        def drain(caller: bool) -> None:
+            try:
+                while (i := take(caller)) is not None:
+                    results[i] = fn(*tasks[i])
+            except BaseException as exc:  # raised again by the caller below
+                with lock:
+                    failures.append(exc)
+            finally:
+                if not caller:
+                    back.put(None)
+
+        for _ in self._threads:
+            self._jobs.put(partial(drain, False))
+        drain(True)
+        for _ in self._threads:
+            back.get()
+        if failures:
+            raise failures[0]
+        return results
+
+
 # the OpenBLAS count that the first run in found, once per run holding the pin
 _PIN_LOCK, _pinned = threading.Lock(), []
 
@@ -710,13 +789,14 @@ _PIN_LOCK, _pinned = threading.Lock(), []
 def _block_mapper():
     """The mapper that `run` diagonalizes each iteration's blocks with.
 
-    A thread pool, one thread per usable CPU, while OpenBLAS is held on one
-    thread (a multithreaded BLAS under the pool oversubscribes the cores).
-    The builtin map keeps the run serial where OpenBLAS is not found, as its
-    threads cannot be pinned, and in a multiprocessing worker, whose sibling
-    processes (a `run_sweep` pool) fill the cores already.  Concurrent runs
-    in one process share the process-wide pin: the first one in reads the
-    count, and the last one out restores it.
+    A `_BlockPool` with one helper per usable CPU besides the caller, while
+    OpenBLAS is held on one thread (a multithreaded BLAS beside the helpers
+    oversubscribes the cores).  The builtin map keeps the run serial where
+    OpenBLAS is not found, as its threads cannot be pinned, and in a
+    multiprocessing worker, whose sibling processes (a `run_sweep` pool) fill
+    the cores already.  Concurrent runs in one process share the
+    process-wide pin: the first one in reads the count, and the last one out
+    restores it.
     """
     # a multiprocessing worker has imported multiprocessing; elsewhere the
     # check does not import it
@@ -731,8 +811,8 @@ def _block_mapper():
         set_(1)
     try:
         affinity = getattr(os, "sched_getaffinity", None)
-        workers = len(affinity(0)) if affinity else os.cpu_count()
-        with ThreadPoolExecutor(workers) as pool:
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        with contextlib.closing(_BlockPool(cpus - 1)) as pool:
             yield pool.map
     finally:
         with _PIN_LOCK:
@@ -761,13 +841,12 @@ def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceR
             stacklevel=_caller_stacklevel(),
         )
 
-    state = init_impurity_site(map_to_kondo(p))
-    ops = init_operator_blocks(state)
-    sx0, sz0 = ground_expectation_raw(state, ops)
-    history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
-
     scale_met = plateau_met = even_odd = False
     with _block_mapper() as mapper:
+        state = init_impurity_site(map_to_kondo(p))
+        ops = init_operator_blocks(state)
+        sx0, sz0 = ground_expectation_raw(state, ops)
+        history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
         while state.n < cfg.n_max:
             state = add_site(state, chain, mapper)
             state = truncate(state, cfg.n_keep)

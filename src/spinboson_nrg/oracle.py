@@ -138,20 +138,6 @@ def sector_hamiltonians(
     return blocks, basis
 
 
-def full_hamiltonian(
-    k: KondoParams, chain: WilsonChain, sites: int
-) -> tuple[np.ndarray, np.ndarray, FockBasis]:
-    """Full dense Hamiltonian plus per-state sector labels (for invariants)."""
-    blocks, basis = sector_hamiltonians(k, chain, sites)
-    ham = np.zeros((basis.dim, basis.dim))
-    labels = np.zeros((basis.dim, 2), dtype=int)
-    for sec, states in basis.sectors.items():
-        idx = np.asarray(states)
-        ham[np.ix_(idx, idx)] = blocks[sec]
-        labels[idx] = (sec.q, sec.two_sz)
-    return ham, labels, basis
-
-
 def spin_flip_matrix(basis: FockBasis, sector: Sector) -> np.ndarray:
     """O_x + O_x^dag restricted to one sector (it is sector-diagonal)."""
     states = basis.sectors[sector]

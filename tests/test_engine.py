@@ -1,8 +1,10 @@
 import math
+import os
 import sys
 import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -37,7 +39,9 @@ from spinboson_nrg.engine import _n_star, _plateau_status
 from spinboson_nrg.engine import rotate
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN
 from spinboson_nrg.fock import N_EL, UP
-from spinboson_nrg.oracle import _apply_fdag, full_hamiltonian, sector_hamiltonians
+from spinboson_nrg.oracle import _apply_fdag, sector_hamiltonians
+
+from dense_hamiltonian import full_hamiltonian
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 
@@ -405,7 +409,10 @@ class TestOrbitPool:
 
         monkeypatch.setattr(engine_mod, "_diagonalize", recording)
         state, report = run(p, cfg)
-        assert threads - {threading.get_ident()}  # the pool diagonalized
+        if len(os.sched_getaffinity(0)) > 1:
+            assert threads - {threading.get_ident()}  # a helper diagonalized too
+        else:
+            assert threads == {threading.get_ident()}  # no helper on one CPU
 
         chain = build_chain(cfg.lam, cfg.n_max)
         st = init_impurity_site(map_to_kondo(p))
@@ -425,22 +432,44 @@ class TestOrbitPool:
 
     def test_oversubscribed_pool_matches_serial(self):
         # more threads than cores and a short switch interval: an update lost
-        # between the workers would show in the kept blocks
+        # between the helpers and the caller would show in the kept blocks
         chain = build_chain(2.0, 9)
         serial = pooled = init_impurity_site(_alpha_04(0.0))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        pool = engine_mod._BlockPool(7)
         try:
-            with ThreadPoolExecutor(8) as pool:
-                for _ in range(8):
-                    serial = truncate(add_site(serial, chain), 120)
-                    pooled = truncate(add_site(pooled, chain, pool.map), 120)
-                    assert pooled.blocks.keys() == serial.blocks.keys()
-                    for t, b in serial.blocks.items():
-                        assert np.array_equal(pooled.blocks[t].energies, b.energies)
-                        assert np.array_equal(pooled.blocks[t].vectors, b.vectors)
+            for _ in range(8):
+                serial = truncate(add_site(serial, chain), 120)
+                pooled = truncate(add_site(pooled, chain, pool.map), 120)
+                assert pooled.blocks.keys() == serial.blocks.keys()
+                for t, b in serial.blocks.items():
+                    assert np.array_equal(pooled.blocks[t].energies, b.energies)
+                    assert np.array_equal(pooled.blocks[t].vectors, b.vectors)
         finally:
+            pool.close()
             sys.setswitchinterval(interval)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        p = SpinBosonPoint(alpha=0.4, epsilon=0.1, delta_ratio=0.04)
+        cfg = NRGConfig(n_keep=100)
+        pooled_state, pooled_report = run(p, cfg)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        state, report = run(p, cfg)
+        assert not started
+        assert report == pooled_report
+        assert state.blocks.keys() == pooled_state.blocks.keys()
+        for t, b in state.blocks.items():
+            assert np.array_equal(b.energies, pooled_state.blocks[t].energies)
+            assert np.array_equal(b.vectors, pooled_state.blocks[t].vectors)
 
     @needs_openblas
     def test_overlapping_runs_share_the_pin(self):
@@ -483,12 +512,12 @@ class TestOrbitPool:
         before = get()
         seen = []
         eigh = np.linalg.eigh
+        threads = set(threading.enumerate())
 
         def probe(ham):
-            if threading.current_thread() is not threading.main_thread():
-                seen.append(get())
-                if fail:
-                    raise np.linalg.LinAlgError("synthetic breakdown")
+            seen.append(get())
+            if fail:
+                raise np.linalg.LinAlgError("synthetic breakdown")
             return eigh(ham)
 
         monkeypatch.setattr(np.linalg, "eigh", probe)
@@ -504,8 +533,82 @@ class TestOrbitPool:
             assert get() == before
         finally:
             set_(saved)
-        # the pool's calls run with BLAS on one thread
+        # every call, the caller's and the helpers', runs with BLAS on one
+        # thread, and no helper outlives the run
         assert seen and set(seen) == {1}
+        assert set(threading.enumerate()) == threads
+
+
+class TestBlockPool:
+    # a step's blocks, largest first, of mixed sizes
+    ROWS = (90, 60, 45, 30, 12, 8, 8, 4, 2, 1)
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    def test_results_in_input_order_each_block_once(self, helpers):
+        blocks = [np.zeros(n) for n in self.ROWS]
+        calls = []
+
+        def solve(block, k):
+            calls.append(k)
+            time.sleep(1e-5 * len(block))  # lets the GIL go, as eigh does
+            return k, len(block)
+
+        pool = engine_mod._BlockPool(helpers)
+        try:
+            for _ in range(20):  # the helpers serve step after step
+                calls.clear()
+                out = pool.map(solve, blocks, range(len(blocks)))
+                assert out == list(enumerate(self.ROWS))
+                assert sorted(calls) == list(range(len(blocks)))
+        finally:
+            pool.close()
+        assert not any(t.is_alive() for t in pool._threads)
+
+    def test_a_step_is_freed_when_map_returns(self):
+        # an idle helper must not hold the last step's blocks and results:
+        # at paper fidelity they are megabytes of full eigenvector arrays
+        class Result:
+            pass
+
+        pool = engine_mod._BlockPool(2)
+        try:
+            out = pool.map(lambda block: Result(), [np.zeros(n) for n in self.ROWS])
+            refs = [weakref.ref(r) for r in out]
+            del out
+            for _ in range(100):  # a helper may still be returning from its job
+                if not any(r() for r in refs):
+                    break
+                time.sleep(0.01)
+            assert not any(r() for r in refs)
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("helpers", [1, 3])
+    @pytest.mark.parametrize("caller_fails", [True, False])
+    def test_an_error_in_either_share_reaches_the_caller(self, helpers, caller_fails):
+        # the failing share starts its first block, and the other waits for
+        # that, so each share holds a block; the failure then stops the drain
+        failing = threading.Event()
+        calls = []
+
+        def solve(block):
+            calls.append(len(block))
+            if (threading.current_thread() is threading.main_thread()) == caller_fails:
+                failing.set()
+                raise EngineError("synthetic breakdown")
+            assert failing.wait(30)
+            time.sleep(0.05)  # the failure is recorded meanwhile
+            return len(block)
+
+        pool = engine_mod._BlockPool(helpers)
+        try:
+            with pytest.raises(EngineError, match="synthetic breakdown"):
+                pool.map(solve, [np.zeros(n) for n in self.ROWS])
+            # no thread took a block after the failure: each took at most one
+            assert len(calls) <= helpers + 1 < len(self.ROWS)
+        finally:
+            pool.close()
+        assert not any(t.is_alive() for t in pool._threads)
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 10.0])

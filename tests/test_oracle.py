@@ -10,7 +10,9 @@ from spinboson_nrg import (
     exact_ground,
     hellmann_feynman_check,
 )
-from spinboson_nrg.oracle import _apply_f, _apply_fdag, full_hamiltonian
+from spinboson_nrg.oracle import _apply_f, _apply_fdag
+
+from dense_hamiltonian import full_hamiltonian
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 ZERO_FIELD = KondoParams(rho0_jperp=0.3, rho0_jpar=1.1, field=0.0)

@@ -475,6 +475,21 @@ class TestCLI:
         assert proc.returncode == 0
         assert out.read_text().startswith(CSV_HEADER)
 
+    def test_module_entry_point_warnings_name_a_package_file(self):
+        # the first frame outside the package is runpy's; the warnings name
+        # the package's __main__ instead
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinboson_nrg", "point", "--alpha", "0.95",
+             "--delta-ratio", "0.1", "--n-max", "20"],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert proc.returncode == cli_mod.EXIT_ROWS
+        lines = [ln for ln in proc.stderr.splitlines() if "UserWarning" in ln]
+        assert len(lines) == 2  # the N* and the coupling-map warnings
+        package = os.path.dirname(sweep_mod.__file__) + os.sep
+        assert all(ln.startswith(package) for ln in lines)
+        assert "<frozen" not in proc.stderr
+
     def test_sweep_csv_ordering(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
