@@ -85,7 +85,7 @@ on the calling thread and one helper thread per further usable CPU, with
 OpenBLAS held on one thread for the run (`_block_mapper`): a multithreaded
 BLAS beside the helpers would oversubscribe the cores.  The blocks come
 largest first; the helpers take from the large end, and the caller takes the
-small blocks meanwhile (`_BlockPool`).  With one usable CPU there is no
+small blocks meanwhile (`_drain`).  With one usable CPU there is no
 helper.  The results are gathered by sector, so any of these runs matches a
 serial one at the same BLAS thread count bit for bit.
 `add_site` and `_extend` take the mapper, the builtin map by default, as the
@@ -107,10 +107,10 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import queue
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -704,81 +704,57 @@ def _openblas():
     return None
 
 
-class _BlockPool:
-    """Helper threads that diagonalize an iteration's blocks with the caller.
+def _drain(pool: ThreadPoolExecutor, helpers: int, fn, *iterables) -> list:
+    """map(fn, *iterables) as a list, on the calling thread and helpers
+    drain tasks of pool.
 
-    `map` takes its tasks largest block first, a block's rows being the length
-    of a task's first argument, and drains them from both ends.  Each helper
-    takes from the large end.  The caller takes from the small end while the
+    The tasks come largest block first, a block's rows being the length of a
+    task's first argument, and are drained from both ends.  Each helper takes
+    from the large end.  The caller takes from the small end while the
     smallest block left has at most half the rows of the largest left, and
     from the large end after that, so the step still ends on the smallest
     blocks.  (A caller always at the small end can meet the helpers at a
-    mid-size block that ends the step late.)  The first exception raised in
-    any share stops the drain, and the caller raises it once every helper is
-    back.  Without helpers `map` is the builtin map.  `close` stops the
-    helpers.
+    mid-size block that ends the step late.)  An exception raised in any
+    share stops the drain, and is raised once every share is back.
     """
+    tasks = list(zip(*iterables))
+    rows = [len(args[0]) for args in tasks]
+    results: list = [None] * len(tasks)
+    lock, ends, failed = threading.Lock(), [0, len(tasks)], []
 
-    def __init__(self, helpers: int):
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads = [
-            threading.Thread(target=self._serve, daemon=True) for _ in range(helpers)
-        ]
-        for t in self._threads:
-            t.start()
+    def take(caller: bool) -> int | None:
+        with lock:
+            lo, hi = ends
+            if failed or lo == hi:
+                return None
+            if caller and 2 * rows[hi - 1] <= rows[lo]:
+                ends[1] = hi - 1
+                return hi - 1
+            ends[0] = lo + 1
+            return lo
 
-    def _serve(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            job()
-            # the job holds its step's blocks and results: free them now,
-            # not when the next step's job arrives
-            del job
+    def drain(caller: bool) -> None:
+        try:
+            while (i := take(caller)) is not None:
+                results[i] = fn(*tasks[i])
+        except BaseException:
+            failed.append(True)
+            raise
 
-    def close(self) -> None:
-        for _ in self._threads:
-            self._jobs.put(None)
-        for t in self._threads:
-            t.join()
-
-    def map(self, fn, *iterables) -> list:
-        if not self._threads:
-            return list(map(fn, *iterables))
-        tasks = list(zip(*iterables))
-        rows = [len(args[0]) for args in tasks]
-        results: list = [None] * len(tasks)
-        lock, ends, failures = threading.Lock(), [0, len(tasks)], []
-        back: queue.SimpleQueue = queue.SimpleQueue()
-
-        def take(caller: bool) -> int | None:
-            with lock:
-                lo, hi = ends
-                if failures or lo == hi:
-                    return None
-                if caller and 2 * rows[hi - 1] <= rows[lo]:
-                    ends[1] = hi - 1
-                    return hi - 1
-                ends[0] = lo + 1
-                return lo
-
-        def drain(caller: bool) -> None:
-            try:
-                while (i := take(caller)) is not None:
-                    results[i] = fn(*tasks[i])
-            except BaseException as exc:  # raised again by the caller below
-                with lock:
-                    failures.append(exc)
-            finally:
-                if not caller:
-                    back.put(None)
-
-        for _ in self._threads:
-            self._jobs.put(partial(drain, False))
+    shares = [pool.submit(drain, False) for _ in range(helpers)]
+    try:
         drain(True)
-        for _ in self._threads:
-            back.get()
-        if failures:
-            raise failures[0]
-        return results
+    finally:
+        errors = [e for e in (share.exception() for share in shares) if e]
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the OS cannot say)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 # the OpenBLAS count that the first run in found, once per run holding the pin
@@ -789,9 +765,10 @@ _PIN_LOCK, _pinned = threading.Lock(), []
 def _block_mapper():
     """The mapper that `run` diagonalizes each iteration's blocks with.
 
-    A `_BlockPool` with one helper per usable CPU besides the caller, while
-    OpenBLAS is held on one thread (a multithreaded BLAS beside the helpers
-    oversubscribes the cores).  The builtin map keeps the run serial where
+    `_drain` on a thread pool with one helper per usable CPU besides the
+    caller, while OpenBLAS is held on one thread (a multithreaded BLAS beside
+    the helpers oversubscribes the cores); with one usable CPU, the builtin
+    map under the same pin.  The builtin map keeps the run serial where
     OpenBLAS is not found, as its threads cannot be pinned, and in a
     multiprocessing worker, whose sibling processes (a `run_sweep` pool) fill
     the cores already.  Concurrent runs in one process share the
@@ -810,10 +787,12 @@ def _block_mapper():
         _pinned.append(_pinned[0] if _pinned else get())
         set_(1)
     try:
-        affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        with contextlib.closing(_BlockPool(cpus - 1)) as pool:
-            yield pool.map
+        cpus = _usable_cpus()
+        if cpus == 1:
+            yield map
+        else:
+            with ThreadPoolExecutor(cpus - 1) as pool:
+                yield partial(_drain, pool, cpus - 1)
     finally:
         with _PIN_LOCK:
             saved = _pinned.pop()

@@ -118,14 +118,17 @@ def map_to_kondo(p: SpinBosonPoint) -> KondoParams:
 def _caller_stacklevel() -> int:
     """The warnings stacklevel, seen from the function that calls this one,
     of the first frame outside this package: the line that called the solver.
-    Where only interpreter frames lie outside (`python -m spinboson_nrg`,
-    under <frozen runpy>), it is the outermost package frame instead."""
+    Where only interpreter frames (runpy's, or frozen ones) lie outside, as
+    under `python -m spinboson_nrg`, it is the outermost package frame."""
     package = os.path.dirname(os.path.abspath(__file__)) + os.sep
     frame, level = sys._getframe(1), 1
     while frame.f_back and os.path.abspath(frame.f_code.co_filename).startswith(package):
         frame, level = frame.f_back, level + 1
     outer = frame
-    while outer and outer.f_code.co_filename.startswith("<frozen"):
+    while outer and (
+        outer.f_globals.get("__name__") == "runpy"
+        or outer.f_code.co_filename.startswith("<frozen")
+    ):
         outer = outer.f_back
     return level if outer else level - 1
 

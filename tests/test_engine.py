@@ -5,6 +5,7 @@ import threading
 import time
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -409,7 +410,7 @@ class TestOrbitPool:
 
         monkeypatch.setattr(engine_mod, "_diagonalize", recording)
         state, report = run(p, cfg)
-        if len(os.sched_getaffinity(0)) > 1:
+        if engine_mod._usable_cpus() > 1:
             assert threads - {threading.get_ident()}  # a helper diagonalized too
         else:
             assert threads == {threading.get_ident()}  # no helper on one CPU
@@ -437,17 +438,17 @@ class TestOrbitPool:
         serial = pooled = init_impurity_site(_alpha_04(0.0))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        pool = engine_mod._BlockPool(7)
         try:
-            for _ in range(8):
-                serial = truncate(add_site(serial, chain), 120)
-                pooled = truncate(add_site(pooled, chain, pool.map), 120)
-                assert pooled.blocks.keys() == serial.blocks.keys()
-                for t, b in serial.blocks.items():
-                    assert np.array_equal(pooled.blocks[t].energies, b.energies)
-                    assert np.array_equal(pooled.blocks[t].vectors, b.vectors)
+            with ThreadPoolExecutor(7) as pool:
+                mapper = partial(engine_mod._drain, pool, 7)
+                for _ in range(8):
+                    serial = truncate(add_site(serial, chain), 120)
+                    pooled = truncate(add_site(pooled, chain, mapper), 120)
+                    assert pooled.blocks.keys() == serial.blocks.keys()
+                    for t, b in serial.blocks.items():
+                        assert np.array_equal(pooled.blocks[t].energies, b.energies)
+                        assert np.array_equal(pooled.blocks[t].vectors, b.vectors)
         finally:
-            pool.close()
             sys.setswitchinterval(interval)
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
@@ -539,7 +540,7 @@ class TestOrbitPool:
         assert set(threading.enumerate()) == threads
 
 
-class TestBlockPool:
+class TestDrain:
     # a step's blocks, largest first, of mixed sizes
     ROWS = (90, 60, 45, 30, 12, 8, 8, 4, 2, 1)
 
@@ -553,35 +554,36 @@ class TestBlockPool:
             time.sleep(1e-5 * len(block))  # lets the GIL go, as eigh does
             return k, len(block)
 
-        pool = engine_mod._BlockPool(helpers)
-        try:
+        threads = set(threading.enumerate())
+        with ThreadPoolExecutor(max(helpers, 1)) as pool:
             for _ in range(20):  # the helpers serve step after step
                 calls.clear()
-                out = pool.map(solve, blocks, range(len(blocks)))
+                out = engine_mod._drain(pool, helpers, solve, blocks, range(len(blocks)))
                 assert out == list(enumerate(self.ROWS))
                 assert sorted(calls) == list(range(len(blocks)))
-        finally:
-            pool.close()
-        assert not any(t.is_alive() for t in pool._threads)
+        assert set(threading.enumerate()) == threads
 
-    def test_a_step_is_freed_when_map_returns(self):
+    def test_one_cpu_maps_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with engine_mod._block_mapper() as mapper:
+            assert mapper is map
+
+    def test_a_step_is_freed_when_drain_returns(self):
         # an idle helper must not hold the last step's blocks and results:
         # at paper fidelity they are megabytes of full eigenvector arrays
         class Result:
             pass
 
-        pool = engine_mod._BlockPool(2)
-        try:
-            out = pool.map(lambda block: Result(), [np.zeros(n) for n in self.ROWS])
+        with ThreadPoolExecutor(2) as pool:
+            blocks = [np.zeros(n) for n in self.ROWS]
+            out = engine_mod._drain(pool, 2, lambda block: Result(), blocks)
             refs = [weakref.ref(r) for r in out]
             del out
-            for _ in range(100):  # a helper may still be returning from its job
+            for _ in range(100):  # a helper may still be returning from its task
                 if not any(r() for r in refs):
                     break
                 time.sleep(0.01)
             assert not any(r() for r in refs)
-        finally:
-            pool.close()
 
     @pytest.mark.parametrize("helpers", [1, 3])
     @pytest.mark.parametrize("caller_fails", [True, False])
@@ -600,15 +602,13 @@ class TestBlockPool:
             time.sleep(0.05)  # the failure is recorded meanwhile
             return len(block)
 
-        pool = engine_mod._BlockPool(helpers)
-        try:
+        threads = set(threading.enumerate())
+        with ThreadPoolExecutor(helpers) as pool:
             with pytest.raises(EngineError, match="synthetic breakdown"):
-                pool.map(solve, [np.zeros(n) for n in self.ROWS])
+                engine_mod._drain(pool, helpers, solve, [np.zeros(n) for n in self.ROWS])
             # no thread took a block after the failure: each took at most one
             assert len(calls) <= helpers + 1 < len(self.ROWS)
-        finally:
-            pool.close()
-        assert not any(t.is_alive() for t in pool._threads)
+        assert set(threading.enumerate()) == threads
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 10.0])
