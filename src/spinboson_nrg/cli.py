@@ -39,12 +39,13 @@ def _output_format(text: str) -> str:
     return text
 
 
-# config-file key -> converter
-_CONFIG_KEYS = {
-    **{key: type(f.default) for key, f in CONFIG_FIELDS.items()},
-    "jobs": int,
-    "format": _output_format,
-    "output": str,
+# every setting: config-file key -> (converter, default); a flag that sets
+# it stores its value under the same name
+_SETTINGS = {
+    **{key: (type(f.default), f.default) for key, f in CONFIG_FIELDS.items()},
+    "jobs": (int, 1),
+    "format": (_output_format, "csv"),
+    "output": (str, None),
 }
 
 
@@ -87,31 +88,35 @@ def read_config_file(path: str) -> dict:
                 raise CLIError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise CLIError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](raw.strip())
+                values[key] = _SETTINGS[key][0](raw.strip())
             except ValueError as exc:
                 raise CLIError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+def _add_solver_flags(p: argparse.ArgumentParser, lambda_only: bool = False):
+    p.add_argument("--lambda", type=float, default=None,
                    help=f"discretization parameter (> 1; default {NRGConfig.lam})")
-    p.add_argument("--n-keep", type=int, default=None,
-                   help=f"states kept per iteration (default {NRGConfig.n_keep})")
-    p.add_argument("--n-max", type=int, default=None,
-                   help=f"maximum number of iterations (default {NRGConfig.n_max})")
-    p.add_argument("--paper-fidelity", action="store_true",
-                   help="production settings: lambda {lam}, {n_keep} kept states"
-                   .format(**PAPER_FIDELITY))
+    if not lambda_only:
+        p.add_argument("--n-keep", type=int, default=None,
+                       help=f"states kept per iteration (default {NRGConfig.n_keep})")
+        p.add_argument("--n-max", type=int, default=None,
+                       help=f"maximum number of iterations (default {NRGConfig.n_max})")
+        p.add_argument("--paper-fidelity", action="store_true",
+                       help="production settings: lambda {lam}, {n_keep} kept states"
+                       .format(**PAPER_FIDELITY))
     p.add_argument("--config", default=None, metavar="PATH",
                    help="key = value configuration file; flags win on conflict")
-    p.add_argument("--verbose", action="store_true")
 
 
-def _add_output_flags(p: argparse.ArgumentParser):
+def _add_grid_flags(p: argparse.ArgumentParser):
+    p.add_argument("--jobs", type=int, default=None)
+    _add_solver_flags(p)
+    p.add_argument("--verbose", action="store_true",
+                   help="print each solved point to stderr")
     p.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     p.add_argument("--output", default=None, metavar="PATH",
                    help="output file (default: stdout)")
@@ -129,15 +134,11 @@ def build_parser() -> _Parser:
                          help="value, comma list, or start:stop:step")
     p_sweep.add_argument("--eps-over-delta", default="0.0")
     p_sweep.add_argument("--delta-ratio", default="0.04")
-    p_sweep.add_argument("--jobs", type=int, default=None)
-    _add_solver_flags(p_sweep)
-    _add_output_flags(p_sweep)
+    _add_grid_flags(p_sweep)
 
     p_preset = sub.add_parser("preset", help="run a predefined figure grid")
     p_preset.add_argument("name", choices=sorted(PRESETS))
-    p_preset.add_argument("--jobs", type=int, default=None)
-    _add_solver_flags(p_preset)
-    _add_output_flags(p_preset)
+    _add_grid_flags(p_preset)
 
     p_amax = sub.add_parser("alpha-max",
                             help="locate the entropy maximum over alpha")
@@ -148,22 +149,35 @@ def build_parser() -> _Parser:
                         help="also write the result as JSON")
 
     p_verify = sub.add_parser("verify", help="run the validation suites")
-    _add_solver_flags(p_verify)
+    _add_solver_flags(p_verify, lambda_only=True)
 
     return parser
 
 
-def build_config(args, file_values: dict) -> NRGConfig:
-    # precedence: defaults < config file < --paper-fidelity < explicit flags
-    values = {f.name: file_values[k]
-              for k, f in CONFIG_FIELDS.items() if k in file_values}
+def _resolve_settings(args) -> dict:
+    """Every setting under its config-file key: defaults < config file <
+    --paper-fidelity < explicit flags."""
+    values = {key: default for key, (_, default) in _SETTINGS.items()}
+    if args.config:
+        values.update(read_config_file(args.config))
     if getattr(args, "paper_fidelity", False):
-        values.update(PAPER_FIDELITY)
-    for f in CONFIG_FIELDS.values():
-        flag = getattr(args, f.name, None)
+        values.update({key: PAPER_FIDELITY[f.name] for key, f in CONFIG_FIELDS.items()
+                       if f.name in PAPER_FIDELITY})
+    for key in values:
+        flag = getattr(args, key, None)
         if flag is not None:
-            values[f.name] = flag
-    return NRGConfig(**values)
+            values[key] = flag
+    return values
+
+
+def _print_record(rec):
+    print(
+        f"  alpha={rec.alpha:g} eps/Delta={rec.eps_over_delta:g}"
+        f" Delta/wc={rec.delta_ratio:g}: sx={rec.sx:.6f}"
+        f" sz={rec.sz:.6f} E={rec.entropy:.6f} N_m={rec.n_m}"
+        f" converged={rec.converged}",
+        file=sys.stderr,
+    )
 
 
 def _exit_status(bad: int, warning: str) -> int:
@@ -174,34 +188,14 @@ def _exit_status(bad: int, warning: str) -> int:
     return EXIT_OK
 
 
-def _resolved(args, file_values: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        return file_values[key]
-    return default
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        file_values = read_config_file(args.config) if args.config else {}
-        cfg = build_config(args, file_values)
-        fmt = _resolved(args, file_values, "format", "csv")
-        output = _resolved(args, file_values, "output", None)
-        verbose = args.verbose
-
-        def progress(rec):
-            if verbose:
-                print(
-                    f"  alpha={rec.alpha:g} eps/Delta={rec.eps_over_delta:g}"
-                    f" Delta/wc={rec.delta_ratio:g}: sx={rec.sx:.6f}"
-                    f" sz={rec.sz:.6f} E={rec.entropy:.6f} N_m={rec.n_m}"
-                    f" converged={rec.converged}",
-                    file=sys.stderr,
-                )
+        settings = _resolve_settings(args)
+        # built for every command, so a bad solver key fails where it is unread
+        cfg = NRGConfig(**{f.name: settings[key] for key, f in CONFIG_FIELDS.items()})
+        output = settings["output"]
 
         if args.command in ("point", "sweep", "preset"):
             if args.command == "preset":
@@ -213,9 +207,9 @@ def main(argv=None) -> int:
             else:  # a point is a sweep over single values
                 axes = (args.alpha, args.eps_over_delta, args.delta_ratio)
                 spec, note = SweepSpec(*map(parse_axis, axes)), None
-            jobs = _resolved(args, file_values, "jobs", 1)
-            records = run_sweep(spec, cfg, jobs=jobs, progress=progress)
-            write_output_path(records, fmt, output, cfg, note)
+            progress = _print_record if args.verbose else None
+            records = run_sweep(spec, cfg, settings["jobs"], progress)
+            write_output_path(records, settings["format"], output, cfg, note)
             failed = sum(r.error is not None for r in records)
             unconverged = sum(r.error is None and not r.converged for r in records)
             return _exit_status(
@@ -241,7 +235,7 @@ def main(argv=None) -> int:
             )
 
         if args.command == "verify":
-            report = verify(cfg)
+            report = verify(cfg.lam)
             for check in report.checks:
                 status = "pass" if check.passed else "FAIL"
                 print(f"[{status}] {check.name}: {check.detail}")

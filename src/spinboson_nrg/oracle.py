@@ -88,10 +88,10 @@ def _hop_terms(chain: WilsonChain, sites: int) -> list[tuple[int, int, float]]:
 
 
 def sector_hamiltonians(
-    k: KondoParams, chain: WilsonChain, sites: int, basis: FockBasis | None = None
+    k: KondoParams, chain: WilsonChain, sites: int
 ) -> tuple[dict[Sector, np.ndarray], FockBasis]:
     """Dense Hamiltonian blocks, one per (q, 2Sz) sector."""
-    basis = basis or build_basis(sites)
+    basis = build_basis(sites)
     n_orb = 2 * sites
     occ_mask = (1 << n_orb) - 1
     hops = _hop_terms(chain, sites)

@@ -66,6 +66,9 @@ class KondoParams:
     field: float               # local Zeeman energy g*muB*h in D0 units
 
     def __post_init__(self):
+        for name in ("rho0_jperp", "rho0_jpar", "field"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name}={getattr(self, name)} must be finite")
         if self.rho0_jpar <= 0.0:
             raise DomainError(
                 f"rho0_jpar={self.rho0_jpar} must be > 0 (antiferromagnetic sector)"

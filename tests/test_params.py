@@ -62,6 +62,16 @@ class TestKondoParams:
         assert KondoParams(0.04, 0.8, 0.0).in_longitudinal_sector
         assert not KondoParams(0.8, 0.04, 0.0).in_longitudinal_sector
 
+    @pytest.mark.parametrize("name", ["rho0_jperp", "rho0_jpar", "field"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, name, value):
+        values = {"rho0_jperp": 0.1, "rho0_jpar": 0.6, "field": 0.05, name: value}
+        with pytest.raises(DomainError, match="finite"):
+            KondoParams(**values)
+
+    def test_negative_field_allowed(self):
+        assert KondoParams(0.1, 0.6, -0.05).field == -0.05
+
 
 class TestMapToKondo:
     def test_quarter_alpha_exact(self):

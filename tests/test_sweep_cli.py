@@ -249,16 +249,16 @@ class TestOutput:
 
 class TestVerify:
     def test_fresh_build_passes(self):
-        report = verify(NRGConfig())
+        report = verify()
         assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_lambda_15_passes(self):
-        report = verify(NRGConfig(lam=1.5))
+        report = verify(1.5)
         assert report.passed
 
     def test_sabotaged_sign_rule_fails(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "_block_parity_sign", lambda q, n: 1.0)
-        report = verify(NRGConfig())
+        report = verify()
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "oracle equivalence" in failed
@@ -320,6 +320,48 @@ class TestCLI:
         assert payload["metadata"]["config"]["n_keep"] == 80  # flag beats file
         assert payload["metadata"]["config"]["n_max"] == 60   # file beats default
 
+    def test_config_file_output_settings(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_sweep(spec, cfg, jobs=1, progress=None):
+            calls.append(jobs)
+            return [sweep_mod._record(p, cfg, n_m=5, converged=True)
+                    for p in spec.points()]
+
+        monkeypatch.setattr(cli_mod, "run_sweep", fake_sweep)
+        out = tmp_path / "p.json"
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"format = json\noutput = {out}\njobs = 2\n")
+        assert main(["point", "--alpha", "0.3", "--config", str(conf)]) == 0
+        assert calls == [2]
+        assert [r.alpha for r in read_json_records(str(out))] == [0.3]
+
+    def test_verbose_prints_one_line_per_row(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = main([
+            "point", "--alpha", "0.3", "--n-keep", "80", "--n-max", "60",
+            "--verbose", "--output", str(out),
+        ])
+        assert code == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("  alpha=0.3 eps/Delta=0 Delta/wc=0.04: sx=")
+        assert line.endswith("converged=True")
+
+    def test_settings_per_command(self):
+        # every settable value is an argparse destination besides "command"
+        solver = {"lambda", "n_keep", "n_max", "paper_fidelity", "config"}
+        grid = solver | {"jobs", "verbose", "format", "output"}
+        for argv, expected in (
+            (["sweep", "--alpha", "0.3"],
+             grid | {"alpha", "eps_over_delta", "delta_ratio"}),
+            (["preset", "fig1"], grid | {"name"}),
+            (["alpha-max", "--eps-over-delta", "0.1"],
+             solver | {"eps_over_delta", "delta_ratio", "output"}),
+            (["verify"], {"lambda", "config"}),
+        ):
+            dests = set(vars(cli_mod.build_parser().parse_args(argv))) - {"command"}
+            assert dests == expected, argv
+
     def test_paper_fidelity_flag_precedence(self, tmp_path):
         out = tmp_path / "p.json"
         code = main([
@@ -365,9 +407,16 @@ class TestCLI:
             assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
         assert solved == []
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, capsys):
         assert main(["point"]) == 1  # --alpha is required
         assert main(["frobnicate"]) == 1
+        # a flag the command does not read is not accepted
+        for argv in (["verify", "--n-keep", "80"], ["verify", "--n-max", "60"],
+                     ["verify", "--paper-fidelity"], ["verify", "--verbose"],
+                     ["alpha-max", "--eps-over-delta", "0.1", "--verbose"]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
 
     def test_io_error_exit_code(self):
         code = main([
@@ -378,6 +427,8 @@ class TestCLI:
 
     def test_verify_exit_codes(self, monkeypatch):
         assert main(["verify"]) == 0
+        assert main(["verify", "--lambda", "1.5"]) == 0
+        assert main(["verify", "--lambda", "1.0"]) == 1
         monkeypatch.setattr(engine_mod, "_block_parity_sign", lambda q, n: 1.0)
         assert main(["verify"]) == 2
 
