@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .engine import PAPER_FIDELITY, NRGConfig
@@ -146,7 +147,8 @@ def build_parser() -> _Parser:
     p_amax.add_argument("--delta-ratio", type=float, default=0.04)
     _add_solver_flags(p_amax)
     p_amax.add_argument("--output", default=None, metavar="PATH",
-                        help="also write the result as JSON")
+                        help="also write the result as JSON ('-': stdout, in"
+                        " place of the summary)")
 
     p_verify = sub.add_parser("verify", help="run the validation suites")
     _add_solver_flags(p_verify, lambda_only=True)
@@ -188,6 +190,17 @@ def _exit_status(bad: int, warning: str) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str | None) -> None:
+    """Open a file output in append mode before any solving, so that an
+    unwritable path fails at once and an existing file keeps its contents;
+    a file this makes is removed again, so a failed solve leaves none."""
+    if path not in (None, "-"):
+        made = not os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if made:
+            os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -207,6 +220,7 @@ def main(argv=None) -> int:
             else:  # a point is a sweep over single values
                 axes = (args.alpha, args.eps_over_delta, args.delta_ratio)
                 spec, note = SweepSpec(*map(parse_axis, axes)), None
+            _check_writable(output)
             progress = _print_record if args.verbose else None
             records = run_sweep(spec, cfg, settings["jobs"], progress)
             write_output_path(records, settings["format"], output, cfg, note)
@@ -219,15 +233,19 @@ def main(argv=None) -> int:
             )
 
         if args.command == "alpha-max":
+            _check_writable(output)
             result = find_alpha_max(args.eps_over_delta, args.delta_ratio, cfg)
-            print(f"alpha_M = {result.alpha_m:.4f}")
-            print(f"E(alpha_M) = {result.entropy_max:.6f} bits")
-            print(f"evaluations: {result.n_evaluations}")
-            if output:
-                entropies = {a: r.entropy for a, r in result.evaluations.items()}
-                with open(output, "w", encoding="utf-8") as fh:
-                    json.dump({**dataclasses.asdict(result), "evaluations": entropies},
-                              fh, indent=2)
+            entropies = {a: r.entropy for a, r in result.evaluations.items()}
+            payload = {**dataclasses.asdict(result), "evaluations": entropies}
+            if output == "-":  # the JSON replaces the summary lines
+                print(json.dumps(payload, indent=2))
+            else:
+                print(f"alpha_M = {result.alpha_m:.4f}")
+                print(f"E(alpha_M) = {result.entropy_max:.6f} bits")
+                print(f"evaluations: {result.n_evaluations}")
+                if output:
+                    with open(output, "w", encoding="utf-8") as fh:
+                        json.dump(payload, fh, indent=2)
             unconverged = len(result.unconverged)
             return _exit_status(
                 unconverged,

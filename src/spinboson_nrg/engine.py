@@ -87,14 +87,15 @@ BLAS beside the helpers would oversubscribe the cores.  The blocks come
 largest first; the helpers take from the large end, and the caller takes the
 small blocks meanwhile (`_drain`).  With one usable CPU there is no
 helper.  The results are gathered by sector, so any of these runs matches a
-serial one at the same BLAS thread count bit for bit.
-`add_site` and `_extend` take the mapper, the builtin map by default, as the
-oracle and direct callers use them; `run` stays serial too where numpy's
-OpenBLAS is not found and in the worker processes of a sweep.
+serial one at the same BLAS thread count bit for bit.  `run` stays serial
+where numpy's OpenBLAS is not found and in the worker processes of a sweep.
 
-Read-out and verdict: only `run` applies the figures' sign flip to the raw
-ground-state observables and judges convergence, in its `ConvergenceReport`,
-with the fixed constants ETA, PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL.
+Step loop and verdict: `iterate` alone steps the iterations (`add_site`,
+`truncate`, then the observables' `propagate` and read-out), for `run` and
+the oracle alike, with the builtin map as the mapper by default; only `run`
+applies the figures' sign flip to the raw observables and judges
+convergence, in its `ConvergenceReport`, with the fixed constants ETA,
+PLATEAU_WINDOW, PLATEAU_TOL and DEGENERACY_TOL.
 
 Fermionic signs: A (x) B means B acting after A.  A site term that changes
 the electron count anticommutes past the fermions of the block state A leads
@@ -800,6 +801,22 @@ def _block_mapper():
                 set_(saved)
 
 
+def iterate(k: KondoParams, chain: WilsonChain, n_keep: int | None = None, mapper=map):
+    """Yield (state, sx_raw, sz_raw) at the iterations 0 .. chain.length, each
+    step after the impurity site keeping n_keep states (all with None)."""
+    from .observables import ground_expectation_raw, init_operator_blocks, propagate
+
+    state = init_impurity_site(k)
+    ops = init_operator_blocks(state)
+    yield (state, *ground_expectation_raw(state, ops))
+    while state.n < chain.length:
+        state = add_site(state, chain, mapper)
+        if n_keep is not None:
+            state = truncate(state, n_keep)
+        ops = propagate(ops, state)
+        yield (state, *ground_expectation_raw(state, ops))
+
+
 def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceReport]:
     """Solve the point p: iterate its Kondo couplings (`map_to_kondo`) past
     p's depth `_n_star` until the observables plateau.
@@ -808,8 +825,6 @@ def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceR
     converged=False and the drift over the last window.  An n_max at or below
     the depth, which no run can pass, warns once (UserWarning) before the run.
     """
-    from .observables import ground_expectation_raw, init_operator_blocks, propagate
-
     chain = build_chain(cfg.lam, cfg.n_max)
     n_star = _n_star(p, cfg.lam)
     if cfg.n_max <= n_star:
@@ -820,17 +835,9 @@ def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceR
             stacklevel=_caller_stacklevel(),
         )
 
-    scale_met = plateau_met = even_odd = False
+    history: list[tuple[int, float, float]] = []
     with _block_mapper() as mapper:
-        state = init_impurity_site(map_to_kondo(p))
-        ops = init_operator_blocks(state)
-        sx0, sz0 = ground_expectation_raw(state, ops)
-        history: list[tuple[int, float, float]] = [(0, sx0, sz0)]
-        while state.n < cfg.n_max:
-            state = add_site(state, chain, mapper)
-            state = truncate(state, cfg.n_keep)
-            ops = propagate(ops, state)
-            sx_raw, sz_raw = ground_expectation_raw(state, ops)
+        for state, sx_raw, sz_raw in iterate(map_to_kondo(p), chain, cfg.n_keep, mapper):
             history.append((state.n, sx_raw, sz_raw))
             scale_met = state.n > n_star
             plateau_met, even_odd = _plateau_status(history)

@@ -10,17 +10,12 @@ states) to keep the dense solve sub-second.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .chain import WilsonChain
-from .engine import (
-    IterationState,
-    Sector,
-    add_site,
-    init_impurity_site,
-    truncate,
-)
+from .engine import Sector, iterate
 from .params import DomainError, KondoParams
 
 MAX_SITES = 5
@@ -262,18 +257,9 @@ def compare_with_nrg(
     both raw observables must agree to 1e-9; a deliberately truncated run
     reports its deviation and never passes that gate.
     """
-    from .observables import ground_expectation_raw, init_operator_blocks, propagate
-
     eig, basis = _solve(k, chain, sites)
     exact = _ground(eig, basis)
-
-    state: IterationState = init_impurity_site(k)
-    ops = init_operator_blocks(state)
-    for _ in range(sites - 1):
-        state = add_site(state, chain)
-        if n_keep is not None:
-            state = truncate(state, n_keep)
-        ops = propagate(ops, state)
+    *_, (state, sx_raw, sz_raw) = islice(iterate(k, chain, n_keep), sites)
 
     # the charge sector q of the oracle holds the I_z = q/2 member of every
     # multiplet with 2I >= |q| of the same parity
@@ -296,7 +282,6 @@ def compare_with_nrg(
         if m:
             max_dev = max(max_dev, float(np.max(np.abs(exact_w[:m] - nrg_w[:m]))))
 
-    sx_raw, sz_raw = ground_expectation_raw(state, ops)
     sx_dev = abs(sx_raw - exact.sx_raw)
     sz_dev = abs(sz_raw - exact.sz_raw)
     return NRGComparison(

@@ -16,20 +16,18 @@ from spinboson_nrg import (
     KondoParams,
     NRGConfig,
     SpinBosonPoint,
-    add_site,
     build_chain,
     compare_with_nrg,
     entanglement_entropy,
     exact_ground,
     find_alpha_max,
     hellmann_feynman_check,
-    init_impurity_site,
     map_to_kondo,
     noninteracting_reference,
     run,
     run_point,
-    truncate,
 )
+from spinboson_nrg.engine import iterate
 
 ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 DEFAULTS = NRGConfig()
@@ -175,10 +173,8 @@ def test_criterion_6_hellmann_feynman_full_scale():
 
     def chain_ground_energy(kk):
         chain = build_chain(DEFAULTS.lam, n_fixed)
-        st = init_impurity_site(kk)
-        for _ in range(n_fixed):
-            st = add_site(st, chain)
-            st = truncate(st, DEFAULTS.n_keep)
+        for st, _, _ in iterate(kk, chain, DEFAULTS.n_keep):
+            pass
         return st.e0_accumulated
 
     r = 1e-4

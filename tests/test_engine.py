@@ -37,7 +37,7 @@ import spinboson_nrg.engine as engine_mod
 from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, SITE_ONE
 from spinboson_nrg.engine import EngineError
 from spinboson_nrg.engine import _n_star, _plateau_status
-from spinboson_nrg.engine import rotate
+from spinboson_nrg.engine import iterate, rotate
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN
 from spinboson_nrg.fock import N_EL, UP
 from spinboson_nrg.oracle import _apply_fdag, sector_hamiltonians
@@ -135,6 +135,14 @@ class TestAddSite:
         st = add_site(st, chain)
         with pytest.raises(Exception, match="chain"):
             add_site(st, chain)
+
+    def test_iterate_runs_to_the_chain_end(self):
+        # iterations 0 .. chain.length, untruncated when n_keep is None
+        chain = build_chain(2.0, 3)
+        states = [st for st, _, _ in iterate(GENERIC, chain)]
+        assert [st.n for st in states] == [0, 1, 2, 3]
+        exact = exact_ground(GENERIC, chain, 4)
+        assert states[-1].e0_accumulated == pytest.approx(exact.e0, abs=1e-12)
 
 
 def _fock_ops(sites):

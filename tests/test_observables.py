@@ -24,6 +24,7 @@ from spinboson_nrg import (
     truncate,
 )
 import spinboson_nrg.sweep as sweep_mod
+from spinboson_nrg.engine import iterate
 from spinboson_nrg.oracle import sector_hamiltonians, spin_flip_matrix
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
@@ -157,11 +158,8 @@ class TestExpectationValues:
         _, report = run(p, cfg)
 
         def e0(kk):
-            chain = build_chain(cfg.lam, report.n_m)
-            st = init_impurity_site(kk)
-            for _ in range(report.n_m):
-                st = add_site(st, chain)
-                st = truncate(st, cfg.n_keep)
+            for st, _, _ in iterate(kk, build_chain(cfg.lam, report.n_m), cfg.n_keep):
+                pass
             return st.e0_accumulated
 
         r = 1e-4

@@ -418,12 +418,35 @@ class TestCLI:
             assert main(argv) == 1, argv
             assert "unrecognized arguments" in capsys.readouterr().err, argv
 
-    def test_io_error_exit_code(self):
+    def test_io_error_exit_code(self, tmp_path, monkeypatch):
+        # an unwritable output fails before anything is solved
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the output was opened")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", never)
+        monkeypatch.setattr(cli_mod, "find_alpha_max", never)
+        missing = tmp_path / "nonexistent-dir"
         code = main([
             "point", "--alpha", "0.3", "--n-keep", "80", "--n-max", "60",
-            "--output", "/nonexistent-dir/x.csv",
+            "--output", str(missing / "x.csv"),
         ])
         assert code == 3
+        code = main([
+            "alpha-max", "--eps-over-delta", "0.1", "--output", str(missing / "x.json"),
+        ])
+        assert code == 3
+
+    def test_failed_solve_leaves_output_as_it_was(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise DomainError("no result")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", failing)
+        out, new = tmp_path / "x.csv", tmp_path / "new.csv"
+        out.write_text("earlier results\n")
+        assert main(["point", "--alpha", "0.3", "--output", str(out)]) == 1
+        assert out.read_text() == "earlier results\n"
+        assert main(["point", "--alpha", "0.3", "--output", str(new)]) == 1
+        assert not new.exists()
 
     def test_verify_exit_codes(self, monkeypatch):
         assert main(["verify"]) == 0
@@ -435,7 +458,8 @@ class TestCLI:
     def test_alpha_max_validation(self):
         assert main(["alpha-max", "--eps-over-delta", "-0.5"]) == 1
 
-    def test_alpha_max_output(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def alpha_max_calls(self, monkeypatch):
         calls = []
 
         def fake(eps_over_delta, delta_ratio, cfg):
@@ -448,11 +472,14 @@ class TestCLI:
             return AlphaMaxResult(0.42, 0.9, 3, records, ())
 
         monkeypatch.setattr(cli_mod, "find_alpha_max", fake)
+        return calls
+
+    def test_alpha_max_output(self, tmp_path, alpha_max_calls):
         out = tmp_path / "amax.json"
         code = main(["alpha-max", "--eps-over-delta", "0.1", "--n-keep", "80",
                      "--output", str(out)])
         assert code == 0
-        assert calls == [(0.1, 0.04, NRGConfig(n_keep=80))]
+        assert alpha_max_calls == [(0.1, 0.04, NRGConfig(n_keep=80))]
         # the fields of AlphaMaxResult, in order
         assert list(json.loads(out.read_text()).items()) == [
             ("alpha_m", 0.42),
@@ -461,6 +488,19 @@ class TestCLI:
             ("evaluations", {"0.3": 0.8, "0.42": 0.9, "0.5": 0.85}),
             ("unconverged", []),
         ]
+
+    def test_alpha_max_output_to_stdout(
+        self, tmp_path, monkeypatch, capsys, alpha_max_calls
+    ):
+        # '-' prints the JSON in place of the summary lines, and writes no file
+        monkeypatch.chdir(tmp_path)
+        argv = ["alpha-max", "--eps-over-delta", "0.1", "--output"]
+        assert main([*argv, "amax.json"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "-"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == json.loads((tmp_path / "amax.json").read_text())
+        assert not (tmp_path / "-").exists()
 
     def test_alpha_max_unconverged_evaluation_exit_code(self, monkeypatch, capsys):
         def fake_point(p, cfg):
