@@ -12,7 +12,7 @@ Writes sweep data to symmetric_sweep.csv, ready for any plotting tool.
 
 import sys
 
-from spinboson_nrg import NRGConfig, SweepSpec, run_sweep, write_output_path
+from spinboson_nrg import NRGConfig, SweepSpec, run_sweep, write_output
 
 config = NRGConfig()
 spec = SweepSpec(
@@ -28,7 +28,8 @@ print(f"{'Delta/wc':>9} {'alpha':>6} {'<sigma_x>':>10} {'E [bits]':>9} {'Delta_r
 for r in records:
     print(f"{r.delta_ratio:9.2f} {r.alpha:6.1f} {r.sx:10.5f} {r.entropy:9.5f} {r.delta_r:10.2e}")
 
-write_output_path(records, "csv", "symmetric_sweep.csv", config)
+with open("symmetric_sweep.csv", "w", encoding="utf-8") as fh:
+    write_output(records, "csv", fh, config)
 print("\nwrote symmetric_sweep.csv")
 print("Note how E -> 1 as alpha -> 1 for every tunneling amplitude: the qubit"
       " becomes maximally entangled on approaching the transition.")

@@ -56,7 +56,6 @@ from .sweep import (
     run_sweep,
     verify,
     write_output,
-    write_output_path,
 )
 
 __all__ = [
@@ -98,5 +97,4 @@ __all__ = [
     "truncate",
     "verify",
     "write_output",
-    "write_output_path",
 ]

@@ -8,6 +8,7 @@ did not converge, or an alpha-max evaluation did not converge.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -20,11 +21,12 @@ from .sweep import (
     OUTPUT_FORMATS,
     PRESETS,
     SweepSpec,
+    _metadata,
     find_alpha_max,
     preset,
     run_sweep,
     verify,
-    write_output_path,
+    write_output,
 )
 
 EXIT_OK = 0
@@ -190,15 +192,18 @@ def _exit_status(bad: int, warning: str) -> int:
     return EXIT_OK
 
 
-def _check_writable(path: str | None) -> None:
-    """Open a file output in append mode before any solving, so that an
-    unwritable path fails at once and an existing file keeps its contents;
-    a file this makes is removed again, so a failed solve leaves none."""
-    if path not in (None, "-"):
-        made = not os.path.exists(path)
-        open(path, "a", encoding="utf-8").close()
-        if made:
-            os.remove(path)
+def _destination(path: str | None):
+    """What opens the results' destination: stdout for None or '-', else the
+    file at path, opened in append mode at once so that an unwritable path
+    fails before any solving.  An existing file keeps its contents until
+    results exist, and a file this makes is removed again meanwhile."""
+    if path in (None, "-"):
+        return lambda: contextlib.nullcontext(sys.stdout)
+    made = not os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if made:
+        os.remove(path)
+    return lambda: open(path, "w", encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -220,10 +225,11 @@ def main(argv=None) -> int:
             else:  # a point is a sweep over single values
                 axes = (args.alpha, args.eps_over_delta, args.delta_ratio)
                 spec, note = SweepSpec(*map(parse_axis, axes)), None
-            _check_writable(output)
+            open_output = _destination(output)
             progress = _print_record if args.verbose else None
             records = run_sweep(spec, cfg, settings["jobs"], progress)
-            write_output_path(records, settings["format"], output, cfg, note)
+            with open_output() as stream:
+                write_output(records, settings["format"], stream, cfg, note)
             failed = sum(r.error is not None for r in records)
             unconverged = sum(r.error is None and not r.converged for r in records)
             return _exit_status(
@@ -233,19 +239,18 @@ def main(argv=None) -> int:
             )
 
         if args.command == "alpha-max":
-            _check_writable(output)
+            open_output = _destination(output)
             result = find_alpha_max(args.eps_over_delta, args.delta_ratio, cfg)
-            entropies = {a: r.entropy for a, r in result.evaluations.items()}
-            payload = {**dataclasses.asdict(result), "evaluations": entropies}
-            if output == "-":  # the JSON replaces the summary lines
-                print(json.dumps(payload, indent=2))
-            else:
+            if output != "-":  # '-': the JSON replaces the summary lines
                 print(f"alpha_M = {result.alpha_m:.4f}")
                 print(f"E(alpha_M) = {result.entropy_max:.6f} bits")
                 print(f"evaluations: {result.n_evaluations}")
-                if output:
-                    with open(output, "w", encoding="utf-8") as fh:
-                        json.dump(payload, fh, indent=2)
+            if output is not None:
+                entropies = {a: r.entropy for a, r in result.evaluations.items()}
+                payload = {"metadata": _metadata(cfg), **dataclasses.asdict(result),
+                           "evaluations": entropies}
+                with open_output() as stream:
+                    print(json.dumps(payload, indent=2), file=stream)
             unconverged = len(result.unconverged)
             return _exit_status(
                 unconverged,

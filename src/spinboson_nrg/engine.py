@@ -768,13 +768,13 @@ def _block_mapper():
 
     `_drain` on a thread pool with one helper per usable CPU besides the
     caller, while OpenBLAS is held on one thread (a multithreaded BLAS beside
-    the helpers oversubscribes the cores); with one usable CPU, the builtin
-    map under the same pin.  The builtin map keeps the run serial where
-    OpenBLAS is not found, as its threads cannot be pinned, and in a
-    multiprocessing worker, whose sibling processes (a `run_sweep` pool) fill
-    the cores already.  Concurrent runs in one process share the
-    process-wide pin: the first one in reads the count, and the last one out
-    restores it.
+    the helpers oversubscribes the cores).  With one usable CPU there is no
+    helper, and the executor, which starts threads on submit, starts none.
+    The builtin map keeps the run serial where OpenBLAS is not found, as its
+    threads cannot be pinned, and in a multiprocessing worker, whose sibling
+    processes (a `run_sweep` pool) fill the cores already.  Concurrent runs
+    in one process share the process-wide pin: the first one in reads the
+    count, and the last one out restores it.
     """
     # a multiprocessing worker has imported multiprocessing; elsewhere the
     # check does not import it
@@ -788,12 +788,9 @@ def _block_mapper():
         _pinned.append(_pinned[0] if _pinned else get())
         set_(1)
     try:
-        cpus = _usable_cpus()
-        if cpus == 1:
-            yield map
-        else:
-            with ThreadPoolExecutor(cpus - 1) as pool:
-                yield partial(_drain, pool, cpus - 1)
+        helpers = _usable_cpus() - 1
+        with ThreadPoolExecutor(max(helpers, 1)) as pool:
+            yield partial(_drain, pool, helpers)
     finally:
         with _PIN_LOCK:
             saved = _pinned.pop()

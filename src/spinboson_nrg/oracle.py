@@ -86,6 +86,9 @@ def sector_hamiltonians(
     k: KondoParams, chain: WilsonChain, sites: int
 ) -> tuple[dict[Sector, np.ndarray], FockBasis]:
     """Dense Hamiltonian blocks, one per (q, 2Sz) sector."""
+    if chain.length < sites - 1:
+        raise DomainError(f"sites={sites} needs {sites - 1} chain hoppings,"
+                          f" the chain has {chain.length}")
     basis = build_basis(sites)
     n_orb = 2 * sites
     occ_mask = (1 << n_orb) - 1

@@ -12,7 +12,6 @@ import concurrent.futures
 import contextlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -221,8 +220,9 @@ def run_sweep(
 ) -> list[ObservableRecord]:
     """Evaluate every grid point; with jobs > 1, points run in a process pool.
 
-    Pool workers run BLAS single-threaded (see `_process_pool`).  jobs < 1
-    raises DomainError before any point is solved.
+    Pool workers run BLAS single-threaded (see `_process_pool`); they are
+    spawned and re-import `__main__`, so a script needs jobs > 1 calls under
+    `if __name__ == "__main__":`.  jobs < 1 raises DomainError at once.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
@@ -299,6 +299,21 @@ def _json_value(x):
 CONFIG_FIELDS = {"lambda" if f.name == "lam" else f.name: f for f in fields(NRGConfig)}
 
 
+def _metadata(cfg: NRGConfig | None, note=None) -> dict:
+    """The JSON metadata block: how the results were produced."""
+    meta = {
+        "solver": "spinboson-nrg",
+        "version": __version__,
+        "units": "energies in half-bandwidth units D0 = 1, cutoff wc = 2",
+        "sign_convention": SIGN_CONVENTION_NOTE,
+    }
+    if cfg is not None:
+        meta["config"] = {k: getattr(cfg, f.name) for k, f in CONFIG_FIELDS.items()}
+    if note:
+        meta["note"] = note
+    return meta
+
+
 def write_output(records, fmt: str, stream, cfg: NRGConfig | None = None, note=None):
     """Serialize records; CSV is header + rows, JSON adds a metadata block."""
     if fmt not in OUTPUT_FORMATS:
@@ -309,30 +324,10 @@ def write_output(records, fmt: str, stream, cfg: NRGConfig | None = None, note=N
             row = _record_row(r)
             stream.write(",".join(_fmt(row[f]) for f in _CSV_FIELDS) + "\n")
     else:
-        meta = {
-            "solver": "spinboson-nrg",
-            "version": __version__,
-            "units": "energies in half-bandwidth units D0 = 1, cutoff wc = 2",
-            "sign_convention": SIGN_CONVENTION_NOTE,
-        }
-        if cfg is not None:
-            meta["config"] = {
-                k: _json_value(getattr(cfg, f.name)) for k, f in CONFIG_FIELDS.items()
-            }
-        if note:
-            meta["note"] = note
         rows = [{k: _json_value(v) for k, v in _record_row(r).items()} for r in records]
-        payload = {"metadata": meta, "records": rows}
+        payload = {"metadata": _metadata(cfg, note), "records": rows}
         json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
-
-
-def write_output_path(records, fmt: str, path: str | None, cfg=None, note=None):
-    if path is None or path == "-":
-        write_output(records, fmt, sys.stdout, cfg, note)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            write_output(records, fmt, fh, cfg, note)
 
 
 def read_json_records(path: str) -> list[ObservableRecord]:

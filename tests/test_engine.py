@@ -573,8 +573,10 @@ class TestDrain:
 
     def test_one_cpu_maps_on_the_caller(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        blocks = [np.zeros(n) for n in self.ROWS]
         with engine_mod._block_mapper() as mapper:
-            assert mapper is map
+            threads = list(mapper(lambda block: threading.get_ident(), blocks))
+        assert threads == [threading.get_ident()] * len(blocks)
 
     def test_a_step_is_freed_when_drain_returns(self):
         # an idle helper must not hold the last step's blocks and results:

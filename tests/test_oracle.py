@@ -45,6 +45,16 @@ class TestFockBasis:
         with pytest.raises(DomainError):
             build_basis(0)
 
+    @pytest.mark.parametrize(
+        "entry, chain_sites, sites",
+        [(compare_with_nrg, 2, 4), (exact_ground, 2, 4), (hellmann_feynman_check, 1, 3)],
+    )
+    def test_chain_shorter_than_sites(self, entry, chain_sites, sites):
+        # sites needs sites - 1 hoppings; a shorter chain is named, not indexed
+        match = f"sites={sites} needs {sites - 1} chain hoppings, the chain has {chain_sites}"
+        with pytest.raises(DomainError, match=match):
+            entry(GENERIC, build_chain(2.0, chain_sites), sites)
+
 
 class TestJordanWigner:
     def test_anticommutation(self):

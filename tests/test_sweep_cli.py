@@ -24,7 +24,6 @@ from spinboson_nrg import (
     run_sweep,
     verify,
     write_output,
-    write_output_path,
 )
 from spinboson_nrg.cli import main, parse_axis, read_config_file
 from spinboson_nrg.sweep import CSV_HEADER
@@ -36,6 +35,11 @@ POINT = SpinBosonPoint(alpha=0.3, epsilon=0.0, delta_ratio=0.04)
 @pytest.fixture(scope="module")
 def sample_record():
     return run_point(POINT, FAST)
+
+
+def write_json(records, path, cfg, note=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        write_output(records, "json", fh, cfg, note)
 
 
 class TestRunPoint:
@@ -211,7 +215,7 @@ class TestOutput:
 
     def test_json_round_trip_bit_exact(self, sample_record, tmp_path):
         path = tmp_path / "records.json"
-        write_output_path([sample_record], "json", str(path), FAST)
+        write_json([sample_record], path, FAST)
         back = read_json_records(str(path))
         assert back == [sample_record]
 
@@ -223,7 +227,7 @@ class TestOutput:
         spec = SweepSpec(alpha=(0.3,), eps_over_delta=(0.0,), delta_ratio=(0.04,))
         failed = run_sweep(spec, FAST)
         path = tmp_path / "failed.json"
-        write_output_path(failed, "json", str(path), FAST)
+        write_json(failed, path, FAST)
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -236,7 +240,7 @@ class TestOutput:
 
     def test_json_metadata_block(self, sample_record, tmp_path):
         path = tmp_path / "records.json"
-        write_output_path([sample_record], "json", str(path), FAST, note="hello")
+        write_json([sample_record], path, FAST, note="hello")
         payload = json.loads(path.read_text())
         meta = payload["metadata"]
         assert meta["config"]["lambda"] == FAST.lam
@@ -441,12 +445,37 @@ class TestCLI:
             raise DomainError("no result")
 
         monkeypatch.setattr(cli_mod, "run_sweep", failing)
-        out, new = tmp_path / "x.csv", tmp_path / "new.csv"
+        monkeypatch.setattr(cli_mod, "find_alpha_max", failing)
+        out, new = tmp_path / "x.out", tmp_path / "new.out"
         out.write_text("earlier results\n")
-        assert main(["point", "--alpha", "0.3", "--output", str(out)]) == 1
-        assert out.read_text() == "earlier results\n"
-        assert main(["point", "--alpha", "0.3", "--output", str(new)]) == 1
-        assert not new.exists()
+        for command in (["point", "--alpha", "0.3"],
+                        ["alpha-max", "--eps-over-delta", "0.1"]):
+            assert main([*command, "--output", str(out)]) == 1, command
+            assert out.read_text() == "earlier results\n"
+            assert main([*command, "--output", str(new)]) == 1, command
+            assert not new.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep", "--alpha", "0.2,0.4"], ["point", "--alpha", "0.3"], ["preset", "fig2"]],
+    )
+    def test_stdout_and_file_outputs_are_equal(
+        self, command, fmt, tmp_path, monkeypatch, capsys
+    ):
+        def fake_sweep(spec, cfg, jobs=1, progress=None):
+            return [sweep_mod._record(p, cfg, n_m=5, converged=True, sx=0.5, sz=0.1)
+                    for p in spec.points()]
+
+        monkeypatch.setattr(cli_mod, "run_sweep", fake_sweep)
+        out = tmp_path / "rows.out"
+        argv = [*command, "--format", fmt]
+        assert main([*argv, "--output", str(out)]) == 0
+        capsys.readouterr()
+        for to_stdout in (["--output", "-"], []):  # '-' and no --output alike
+            assert main([*argv, *to_stdout]) == 0
+            assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert not (tmp_path / "-").exists()
 
     def test_verify_exit_codes(self, monkeypatch):
         assert main(["verify"]) == 0
@@ -480,8 +509,13 @@ class TestCLI:
                      "--output", str(out)])
         assert code == 0
         assert alpha_max_calls == [(0.1, 0.04, NRGConfig(n_keep=80))]
-        # the fields of AlphaMaxResult, in order
-        assert list(json.loads(out.read_text()).items()) == [
+        # the metadata block of sweep JSON, then the fields of AlphaMaxResult
+        payload = json.loads(out.read_text())
+        assert list(payload["metadata"]) == [
+            "solver", "version", "units", "sign_convention", "config"
+        ]
+        assert payload["metadata"]["config"] == {"lambda": 2.0, "n_keep": 80, "n_max": 300}
+        assert list(payload.items())[1:] == [
             ("alpha_m", 0.42),
             ("entropy_max", 0.9),
             ("n_evaluations", 3),
@@ -500,6 +534,8 @@ class TestCLI:
         assert main([*argv, "-"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out) == json.loads((tmp_path / "amax.json").read_text())
+        assert out.encode() == (tmp_path / "amax.json").read_bytes()
+        assert out.endswith("}\n")
         assert not (tmp_path / "-").exists()
 
     def test_alpha_max_unconverged_evaluation_exit_code(self, monkeypatch, capsys):
