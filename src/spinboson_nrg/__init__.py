@@ -16,27 +16,11 @@ from .engine import (
     EngineError,
     IterationState,
     NRGConfig,
-    Sector,
-    SectorBlock,
-    add_site,
-    init_impurity_site,
+    iterate,
     run,
-    truncate,
 )
-from .observables import (
-    OperatorBlocks,
-    entanglement_entropy,
-    ground_expectation_raw,
-    init_operator_blocks,
-    propagate,
-)
-from .oracle import (
-    FockBasis,
-    build_basis,
-    compare_with_nrg,
-    exact_ground,
-    hellmann_feynman_check,
-)
+from .observables import entanglement_entropy
+from .oracle import compare_with_nrg, exact_ground, hellmann_feynman_check
 from .params import (
     DomainError,
     KondoParams,
@@ -63,38 +47,28 @@ __all__ = [
     "ConvergenceReport",
     "DomainError",
     "EngineError",
-    "FockBasis",
     "IterationState",
     "KondoParams",
     "NRGConfig",
     "ObservableRecord",
-    "OperatorBlocks",
-    "Sector",
-    "SectorBlock",
     "SpinBosonPoint",
     "SweepSpec",
     "WilsonChain",
-    "add_site",
-    "build_basis",
     "build_chain",
     "compare_with_nrg",
     "entanglement_entropy",
     "exact_ground",
     "find_alpha_max",
-    "ground_expectation_raw",
     "hellmann_feynman_check",
-    "init_impurity_site",
-    "init_operator_blocks",
+    "iterate",
     "map_to_kondo",
     "noninteracting_reference",
     "preset",
-    "propagate",
     "read_json_records",
     "renormalized_tunneling",
     "run",
     "run_point",
     "run_sweep",
-    "truncate",
     "verify",
     "write_output",
 ]

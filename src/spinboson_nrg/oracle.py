@@ -4,7 +4,9 @@ Certifies the iterative solver: identical Hamiltonian, solved sector by
 sector in the full many-body Fock space with explicit Jordan-Wigner signs.
 The global fermion ordering is by site index, up orbital before down; the
 impurity spin carries no fermion number.  Capped at 5 chain sites (2048
-states) to keep the dense solve sub-second.
+states) to keep the dense solve sub-second.  The energy-derivative
+(Hellmann-Feynman) check reads the iterative solver alone, so it also runs
+truncated at full depth.
 """
 
 from __future__ import annotations
@@ -73,6 +75,22 @@ def _apply_f(occ: int, orb: int) -> tuple[int, float] | None:
     return occ & ~(1 << orb), _jw_sign(occ, orb)
 
 
+def _check_sites(chain: WilsonChain, sites: int, n_keep: int | None = None):
+    """DomainError unless the chain holds the sites - 1 hoppings that sites
+    needs and, with nothing truncated (n_keep=None), sites is 1..MAX_SITES."""
+    if chain.length < sites - 1:
+        raise DomainError(f"sites={sites} needs {sites - 1} chain hoppings,"
+                          f" the chain has {chain.length}")
+    if sites < 1 or n_keep is None and sites > MAX_SITES:
+        raise DomainError(f"sites={sites} outside 1..{MAX_SITES} (dimension guard)")
+
+
+def _at_depth(k: KondoParams, chain: WilsonChain, sites: int, n_keep: int | None):
+    """`iterate`'s (state, sx_raw, sz_raw) at iteration sites - 1."""
+    *_, last = islice(iterate(k, chain, n_keep), sites)
+    return last
+
+
 def _hop_terms(chain: WilsonChain, sites: int) -> list[tuple[int, int, float]]:
     terms = []
     for n in range(sites - 1):
@@ -86,9 +104,7 @@ def sector_hamiltonians(
     k: KondoParams, chain: WilsonChain, sites: int
 ) -> tuple[dict[Sector, np.ndarray], FockBasis]:
     """Dense Hamiltonian blocks, one per (q, 2Sz) sector."""
-    if chain.length < sites - 1:
-        raise DomainError(f"sites={sites} needs {sites - 1} chain hoppings,"
-                          f" the chain has {chain.length}")
+    _check_sites(chain, sites)
     basis = build_basis(sites)
     n_orb = 2 * sites
     occ_mask = (1 << n_orb) - 1
@@ -217,30 +233,34 @@ class HFCheck:
 
 
 def hellmann_feynman_check(
-    k: KondoParams, chain: WilsonChain, sites: int, dj: float | None = None
+    k: KondoParams,
+    chain: WilsonChain,
+    sites: int,
+    n_keep: int | None = None,
+    dj: float | None = None,
 ) -> HFCheck:
-    """Residual of <O_x + O_x^dag> against the J_perp derivative of E0.
+    """Residual of <O_x + O_x^dag> against the J_perp derivative of E0, both
+    read from `iterate` at iteration sites - 1 with n_keep kept states.
 
-    Central difference [E0(J+dj) - E0(J-dj)]/dj; the factor 1/2 from
-    dH/dJ_perp cancels the stencil's 1/2.  For the exact solver the residual
-    is O(dj^2).
+    Central difference [E0(J+dj) - E0(J-dj)]/dj of `e0_accumulated`; the
+    factor 1/2 from dH/dJ_perp cancels the stencil's 1/2.  Untruncated
+    (n_keep=None, at most MAX_SITES sites) the residual is O(dj^2); on a
+    truncated run it measures the truncation error.
     """
-    jperp = k.jperp
-    dj = 1e-4 * jperp if dj is None else dj
-    base = exact_ground(k, chain, sites)
-    up = exact_ground(k_with_jperp(k, jperp + dj), chain, sites)
-    dn = exact_ground(k_with_jperp(k, jperp - dj), chain, sites)
-    derivative = (up.e0 - dn.e0) / dj
+    _check_sites(chain, sites, n_keep)
+    dj = 1e-4 * k.jperp if dj is None else dj
+
+    def e0(jperp: float) -> float:
+        state, _, _ = _at_depth(replace(k, rho0_jperp=jperp / 2.0), chain, sites, n_keep)
+        return float(state.e0_accumulated)
+
+    _, sx_raw, _ = _at_depth(k, chain, sites, n_keep)
+    derivative = (e0(k.jperp + dj) - e0(k.jperp - dj)) / dj
     return HFCheck(
-        residual=abs(base.sx_raw - derivative),
+        residual=abs(sx_raw - derivative),
         derivative=derivative,
-        sx_raw=base.sx_raw,
+        sx_raw=sx_raw,
     )
-
-
-def k_with_jperp(k: KondoParams, jperp_abs: float) -> KondoParams:
-    """Copy of the couplings with the absolute transverse coupling replaced."""
-    return replace(k, rho0_jperp=jperp_abs / 2.0)
 
 
 @dataclass
@@ -262,7 +282,7 @@ def compare_with_nrg(
     """
     eig, basis = _solve(k, chain, sites)
     exact = _ground(eig, basis)
-    *_, (state, sx_raw, sz_raw) = islice(iterate(k, chain, n_keep), sites)
+    state, sx_raw, sz_raw = _at_depth(k, chain, sites, n_keep)
 
     # the charge sector q of the oracle holds the I_z = q/2 member of every
     # multiplet with 2I >= |q| of the same parity

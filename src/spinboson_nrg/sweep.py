@@ -109,7 +109,9 @@ def find_alpha_max(
     """Locate the interior maximum of the entropy as a function of alpha.
 
     One `run_point` per alpha: a scan of ALPHA_MAX_GRID, then golden-section
-    refinement of the bracket down to |delta alpha| <= ALPHA_MAX_TOL.  Only
+    refinement of the bracket down to |delta alpha| <= ALPHA_MAX_TOL.  The
+    scan's left end is alpha = 0 with E = 0, as an isolated two-level system
+    is unentangled; it is never solved and not in `evaluations`.  Only
     eps > 0 has an interior maximum (at eps = 0 the entropy grows
     monotonically); an entropy is a result only if its alpha is not in
     `unconverged`.
@@ -126,13 +128,14 @@ def find_alpha_max(
             records[key] = run_point(p, cfg)
         return records[key].entropy
 
-    i_max = int(np.argmax([f(a) for a in ALPHA_MAX_GRID]))
-    if i_max == 0 or i_max == len(ALPHA_MAX_GRID) - 1:
+    scan = (0.0, *ALPHA_MAX_GRID)
+    i_max = int(np.argmax([0.0, *(f(a) for a in ALPHA_MAX_GRID)]))
+    if i_max == len(scan) - 1:
         raise DomainError(
-            "no interior maximum found: entropy is monotone on the alpha grid"
+            f"no interior maximum found: the entropy is still rising at alpha = {scan[-1]}"
         )
 
-    a, b = ALPHA_MAX_GRID[i_max - 1], ALPHA_MAX_GRID[i_max + 1]
+    a, b = scan[i_max - 1], scan[i_max + 1]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     while b - a > 2.0 * ALPHA_MAX_TOL:

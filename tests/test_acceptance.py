@@ -6,7 +6,6 @@ The full module takes a few minutes at the fast solver defaults.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from spinboson_nrg import (
     run,
     run_point,
 )
-from spinboson_nrg.engine import iterate
 
 ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 DEFAULTS = NRGConfig()
@@ -167,20 +165,10 @@ def test_criterion_5_asymmetric_behavior(asymmetric_grid, monkeypatch):
 
 def test_criterion_6_hellmann_feynman_full_scale():
     p = SpinBosonPoint(alpha=0.5, epsilon=0.0, delta_ratio=0.04)
-    k = map_to_kondo(p)
-    state, report = run(p, DEFAULTS)
-    n_fixed = report.n_m
-
-    def chain_ground_energy(kk):
-        chain = build_chain(DEFAULTS.lam, n_fixed)
-        for st, _, _ in iterate(kk, chain, DEFAULTS.n_keep):
-            pass
-        return st.e0_accumulated
-
-    r = 1e-4
-    e_up = chain_ground_energy(replace(k, rho0_jperp=k.rho0_jperp * (1 + r)))
-    e_dn = chain_ground_energy(replace(k, rho0_jperp=k.rho0_jperp * (1 - r)))
-    derivative = (e_up - e_dn) / (r * k.jperp)  # equals raw <Ox + Ox^dag>
+    _, report = run(p, DEFAULTS)
+    chain = build_chain(DEFAULTS.lam, report.n_m)
+    hf = hellmann_feynman_check(map_to_kondo(p), chain, report.n_m + 1, DEFAULTS.n_keep)
+    derivative = hf.derivative  # equals raw <Ox + Ox^dag>
     rel = abs(report.sx - (-derivative)) / abs(report.sx)
     _report(
         6,

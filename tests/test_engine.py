@@ -17,27 +17,25 @@ from spinboson_nrg import (
     IterationState,
     KondoParams,
     NRGConfig,
-    Sector,
-    SectorBlock,
     SpinBosonPoint,
-    add_site,
     build_chain,
     entanglement_entropy,
     exact_ground,
-    ground_expectation_raw,
-    init_impurity_site,
-    init_operator_blocks,
     map_to_kondo,
-    propagate,
     renormalized_tunneling,
     run,
-    truncate,
 )
 import spinboson_nrg.engine as engine_mod
 from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, SITE_ONE
 from spinboson_nrg.engine import EngineError
 from spinboson_nrg.engine import _n_star, _plateau_status
-from spinboson_nrg.engine import iterate, rotate
+from spinboson_nrg.engine import Sector, SectorBlock, add_site, init_impurity_site
+from spinboson_nrg.engine import iterate, rotate, truncate
+from spinboson_nrg.observables import (
+    ground_expectation_raw,
+    init_operator_blocks,
+    propagate,
+)
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN
 from spinboson_nrg.fock import N_EL, UP
 from spinboson_nrg.oracle import _apply_fdag, sector_hamiltonians

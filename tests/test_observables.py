@@ -7,24 +7,23 @@ from spinboson_nrg import (
     DomainError,
     KondoParams,
     NRGConfig,
-    OperatorBlocks,
-    Sector,
     SpinBosonPoint,
-    add_site,
     build_chain,
     entanglement_entropy,
     exact_ground,
     find_alpha_max,
-    ground_expectation_raw,
-    init_impurity_site,
-    init_operator_blocks,
+    hellmann_feynman_check,
     map_to_kondo,
-    propagate,
     run,
-    truncate,
 )
 import spinboson_nrg.sweep as sweep_mod
-from spinboson_nrg.engine import iterate
+from spinboson_nrg.engine import Sector, add_site, init_impurity_site, truncate
+from spinboson_nrg.observables import (
+    OperatorBlocks,
+    ground_expectation_raw,
+    init_operator_blocks,
+    propagate,
+)
 from spinboson_nrg.oracle import sector_hamiltonians, spin_flip_matrix
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
@@ -150,24 +149,25 @@ class TestExpectationValues:
     def test_energy_derivative_identity_alpha_02(self):
         # correlator vs central difference of the chain ground energy, on
         # identical chain lengths, within 1%
-        from dataclasses import replace
-
         p = SpinBosonPoint(alpha=0.2, epsilon=0.0, delta_ratio=0.04)
-        k = map_to_kondo(p)
         cfg = NRGConfig()
         _, report = run(p, cfg)
+        chain = build_chain(cfg.lam, report.n_m)
+        hf = hellmann_feynman_check(map_to_kondo(p), chain, report.n_m + 1, cfg.n_keep)
+        assert abs(report.sx - (-hf.derivative)) / abs(report.sx) <= 0.01
 
-        def e0(kk):
-            for st, _, _ in iterate(kk, build_chain(cfg.lam, report.n_m), cfg.n_keep):
-                pass
-            return st.e0_accumulated
-
-        r = 1e-4
-        deriv = (
-            e0(replace(k, rho0_jperp=k.rho0_jperp * (1 + r)))
-            - e0(replace(k, rho0_jperp=k.rho0_jperp * (1 - r)))
-        ) / (r * k.jperp)
-        assert abs(report.sx - (-deriv)) / abs(report.sx) <= 0.01
+    def test_energy_derivative_residual_measures_truncation(self):
+        # at depth the residual is the truncation error: 1.6e-4 with 300 kept
+        # states and 5.8e-3 with 100, so a check that drops n_keep fails one
+        p = SpinBosonPoint(alpha=0.5, epsilon=0.1, delta_ratio=0.04)
+        _, report = run(p, NRGConfig())
+        chain = build_chain(2.0, report.n_m)
+        k = map_to_kondo(p)
+        residual = {
+            n_keep: hellmann_feynman_check(k, chain, report.n_m + 1, n_keep).residual
+            for n_keep in (100, 300)
+        }
+        assert residual[300] < 1e-3 < residual[100]
 
 
 class TestEntanglementEntropy:
@@ -229,7 +229,7 @@ class TestFindAlphaMax:
 
     def test_monotone_entropy_rejected(self, monkeypatch):
         self._fake_points(monkeypatch, lambda a: a)
-        with pytest.raises(DomainError, match="no interior maximum"):
+        with pytest.raises(DomainError, match="still rising at alpha = 0.9"):
             find_alpha_max(0.1, 0.04, NRGConfig())
 
     def test_quadratic_profile_located(self, monkeypatch):
@@ -241,6 +241,16 @@ class TestFindAlphaMax:
         for alpha, rec in result.evaluations.items():
             assert rec.alpha == alpha
             assert rec.entropy == 1.0 - (alpha - 0.37) ** 2
+        assert result.unconverged == ()
+
+    def test_peak_below_first_grid_point(self):
+        # at eps/Delta = 0.5 the entropy peaks in (0.1, 0.2) and falls from
+        # alpha = 0.1 on the grid; alpha = 0 (E = 0, never solved) brackets it
+        result = find_alpha_max(0.5, 0.04, NRGConfig())
+        assert 0.11 < result.alpha_m < 0.15
+        assert min(result.evaluations) > 0.0
+        assert result.entropy_max > result.evaluations[0.1].entropy
+        assert result.n_evaluations == len(result.evaluations) == 16
         assert result.unconverged == ()
 
     def test_unconverged_evaluations_reported(self, monkeypatch):

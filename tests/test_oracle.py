@@ -4,13 +4,12 @@ import pytest
 from spinboson_nrg import (
     DomainError,
     KondoParams,
-    build_basis,
     build_chain,
     compare_with_nrg,
     exact_ground,
     hellmann_feynman_check,
 )
-from spinboson_nrg.oracle import _apply_f, _apply_fdag
+from spinboson_nrg.oracle import _apply_f, _apply_fdag, build_basis
 
 from dense_hamiltonian import full_hamiltonian
 
@@ -134,6 +133,14 @@ class TestHellmannFeynman:
         r_small = hellmann_feynman_check(k, chain, 3, dj=1e-4 * k.jperp).residual
         assert 50 < r_large / r_mid < 200
         assert 50 < r_mid / r_small < 200
+
+    def test_dimension_guard_only_untruncated(self):
+        # untruncated, the solve is capped like the dense one; with n_keep
+        # the check runs past MAX_SITES, as deep as the chain reaches
+        chain = build_chain(2.0, 7)
+        with pytest.raises(DomainError, match="sites=6 outside 1..5"):
+            hellmann_feynman_check(GENERIC, chain, 6)
+        assert hellmann_feynman_check(GENERIC, chain, 8, 50).residual < 1e-2
 
 
 class TestCompareWithNRG:
