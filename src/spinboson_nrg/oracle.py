@@ -1,12 +1,15 @@
 """Brute-force exact diagonalization of the impurity plus a short chain.
 
-Certifies the iterative solver: identical Hamiltonian, solved sector by
-sector in the full many-body Fock space with explicit Jordan-Wigner signs.
-The global fermion ordering is by site index, up orbital before down; the
-impurity spin carries no fermion number.  Capped at 5 chain sites (2048
-states) to keep the dense solve sub-second.  The energy-derivative
-(Hellmann-Feynman) check reads the iterative solver alone, so it also runs
-truncated at full depth.
+Certifies the iterative solver: identical Hamiltonian, built once on the full
+many-body Fock space with explicit Jordan-Wigner signs and solved sector by
+sector.  The global fermion ordering is by site index, up orbital before
+down; the impurity spin carries no fermion number.  A state index is
+imp_bit * 4^sites + occ, where occ holds one bit per orbital (orbital
+2*site for up, 2*site + 1 for down) and imp_bit = 0 means impurity spin up.
+A site's two bits, (occ >> 2*site) & 3, read as `fock`'s EMPTY, UP, DN and
+DOUBLE.  Capped at 5 chain sites (2048 states) to keep the dense solve
+sub-second.  The energy-derivative (Hellmann-Feynman) check reads the
+iterative solver alone, so it also runs truncated at full depth.
 """
 
 from __future__ import annotations
@@ -25,54 +28,22 @@ MAX_SITES = 5
 _GROUND_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FockBasis:
-    """Enumeration of impurity x chain occupation states, grouped by sector.
-
-    A state index is imp_bit * 4^sites + occ, where occ holds one bit per
-    orbital (orbital 2*site for up, 2*site + 1 for down) and imp_bit = 0
-    means impurity spin up.
-    """
-
-    sites: int
-    dim: int
-    sectors: dict[Sector, tuple[int, ...]]
+def _jw_sign(occ: np.ndarray, orb: int) -> np.ndarray:
+    """(-1) to the number of occupied orbitals below orb, per state index."""
+    below = sum((occ >> o) & 1 for o in range(orb))
+    return 1.0 - 2.0 * (below % 2)
 
 
-def build_basis(sites: int) -> FockBasis:
-    if not 1 <= sites <= MAX_SITES:
-        raise DomainError(f"sites={sites} outside 1..{MAX_SITES} (dimension guard)")
-    n_orb = 2 * sites
-    sectors: dict[Sector, list[int]] = {}
-    for imp_bit in (0, 1):
-        imp_tsz = 1 - 2 * imp_bit
-        for occ in range(1 << n_orb):
-            n_up = sum((occ >> (2 * s)) & 1 for s in range(sites))
-            n_dn = sum((occ >> (2 * s + 1)) & 1 for s in range(sites))
-            sec = Sector(n_up + n_dn - sites, imp_tsz + n_up - n_dn)
-            sectors.setdefault(sec, []).append(imp_bit * (1 << n_orb) + occ)
-    return FockBasis(
-        sites=sites,
-        dim=2 * 4**sites,
-        sectors={s: tuple(v) for s, v in sorted(sectors.items())},
-    )
+def _apply_fdag(occ: np.ndarray, orb: int) -> tuple[np.ndarray, np.ndarray]:
+    """f^dag_orb on every state index in occ (the impurity bit above the
+    orbitals passes through): the images and the amplitudes, 0 where orb is
+    occupied and the Jordan-Wigner sign elsewhere."""
+    return occ | (1 << orb), (1 - ((occ >> orb) & 1)) * _jw_sign(occ, orb)
 
 
-def _jw_sign(occ: int, orb: int) -> float:
-    below = occ & ((1 << orb) - 1)
-    return -1.0 if bin(below).count("1") % 2 else 1.0
-
-
-def _apply_fdag(occ: int, orb: int) -> tuple[int, float] | None:
-    if (occ >> orb) & 1:
-        return None
-    return occ | (1 << orb), _jw_sign(occ, orb)
-
-
-def _apply_f(occ: int, orb: int) -> tuple[int, float] | None:
-    if not (occ >> orb) & 1:
-        return None
-    return occ & ~(1 << orb), _jw_sign(occ, orb)
+def _apply_f(occ: np.ndarray, orb: int) -> tuple[np.ndarray, np.ndarray]:
+    """f_orb on every state index in occ, as `_apply_fdag`."""
+    return occ & ~(1 << orb), ((occ >> orb) & 1) * _jw_sign(occ, orb)
 
 
 def _check_sites(chain: WilsonChain, sites: int, n_keep: int | None = None):
@@ -91,91 +62,53 @@ def _at_depth(k: KondoParams, chain: WilsonChain, sites: int, n_keep: int | None
     return last
 
 
-def _hop_terms(chain: WilsonChain, sites: int) -> list[tuple[int, int, float]]:
-    terms = []
+def _fock_space(
+    k: KondoParams, chain: WilsonChain, sites: int
+) -> tuple[np.ndarray, np.ndarray, dict[Sector, np.ndarray]]:
+    """H, O_x + O_x^dag and each sector's states, over the whole Fock space."""
+    _check_sites(chain, sites)
+    n_orb = 2 * sites
+    dim = 2 << n_orb
+    state = np.arange(dim)
+    imp, occ = state >> n_orb, state & ((1 << n_orb) - 1)
+
+    def add_pair(m: np.ndarray, to: int, frm: int, scale: float, flip: int = 0):
+        # scale (T + T^dag) for T = f^dag_to f_frm, times S^- when flip = 1,
+        # which takes impurity up (the lower half of the states) to down
+        mid, a1 = _apply_f(state, frm)
+        new, a2 = _apply_fdag(mid, to)
+        amp = a1 * a2 * (1 - flip * imp)
+        j = np.flatnonzero(amp)
+        i = new[j] + (flip << n_orb)
+        m[i, j] = m[j, i] = scale * amp[j]
+
+    imp_sz = 0.5 * (1 - 2 * imp)
+    n_up0, n_dn0 = occ & 1, (occ >> 1) & 1
+    ham = np.zeros((dim, dim))
+    ham[state, state] += 0.5 * k.jpar * (n_up0 - n_dn0) * imp_sz + k.field * imp_sz
     for n in range(sites - 1):
-        t = float(chain.hop[n])
         for spin in (0, 1):
-            terms.append((2 * (n + 1) + spin, 2 * n + spin, t))
-    return terms
+            add_pair(ham, 2 * (n + 1) + spin, 2 * n + spin, float(chain.hop[n]))
+    ox = np.zeros((dim, dim))
+    add_pair(ox, 0, 1, 1.0, flip=1)
+    ham += 0.5 * k.jperp * ox
+
+    n_up = sum((occ >> (2 * s)) & 1 for s in range(sites))
+    n_dn = sum((occ >> (2 * s + 1)) & 1 for s in range(sites))
+    labels = np.stack([n_up + n_dn - sites, 1 - 2 * imp + n_up - n_dn], axis=1)
+    keys, inverse = np.unique(labels, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sectors = {Sector(*key.tolist()): np.flatnonzero(inverse == c) for c, key in enumerate(keys)}
+    return ham, ox, sectors
 
 
 def sector_hamiltonians(
     k: KondoParams, chain: WilsonChain, sites: int
-) -> tuple[dict[Sector, np.ndarray], FockBasis]:
-    """Dense Hamiltonian blocks, one per (q, 2Sz) sector."""
-    _check_sites(chain, sites)
-    basis = build_basis(sites)
-    n_orb = 2 * sites
-    occ_mask = (1 << n_orb) - 1
-    hops = _hop_terms(chain, sites)
-    blocks: dict[Sector, np.ndarray] = {}
-    for sec, states in basis.sectors.items():
-        pos = {st: i for i, st in enumerate(states)}
-        d = len(states)
-        ham = np.zeros((d, d))
-        for j, st in enumerate(states):
-            imp_bit, occ = st >> n_orb, st & occ_mask
-            imp_sz = 0.5 * (1 - 2 * imp_bit)
-            n_up0 = occ & 1
-            n_dn0 = (occ >> 1) & 1
-            ham[j, j] += 0.5 * k.jpar * (n_up0 - n_dn0) * imp_sz + k.field * imp_sz
-
-            for orb_to, orb_from, t in hops:
-                res = _apply_f(occ, orb_from)
-                if res is None:
-                    continue
-                mid, s1 = res
-                res = _apply_fdag(mid, orb_to)
-                if res is None:
-                    continue
-                new_occ, s2 = res
-                i = pos[(imp_bit << n_orb) | new_occ]
-                amp = t * s1 * s2
-                ham[i, j] += amp
-                ham[j, i] += amp
-
-            # J_perp/2 * f0up^dag f0dn S^- acting on impurity-up states;
-            # the Hermitian conjugate is added through the mirrored element
-            if imp_bit == 0:
-                res = _apply_f(occ, 1)
-                if res is not None:
-                    mid, s1 = res
-                    res = _apply_fdag(mid, 0)
-                    if res is not None:
-                        new_occ, s2 = res
-                        i = pos[(1 << n_orb) | new_occ]
-                        amp = 0.5 * k.jperp * s1 * s2
-                        ham[i, j] += amp
-                        ham[j, i] += amp
-        blocks[sec] = ham
-    return blocks, basis
-
-
-def spin_flip_matrix(basis: FockBasis, sector: Sector) -> np.ndarray:
-    """O_x + O_x^dag restricted to one sector (it is sector-diagonal)."""
-    states = basis.sectors[sector]
-    n_orb = 2 * basis.sites
-    occ_mask = (1 << n_orb) - 1
-    pos = {st: i for i, st in enumerate(states)}
-    d = len(states)
-    m = np.zeros((d, d))
-    for j, st in enumerate(states):
-        imp_bit, occ = st >> n_orb, st & occ_mask
-        if imp_bit != 0:
-            continue
-        res = _apply_f(occ, 1)
-        if res is None:
-            continue
-        mid, s1 = res
-        res = _apply_fdag(mid, 0)
-        if res is None:
-            continue
-        new_occ, s2 = res
-        i = pos[(1 << n_orb) | new_occ]
-        m[i, j] += s1 * s2
-        m[j, i] += s1 * s2
-    return m
+) -> tuple[dict[Sector, np.ndarray], dict[Sector, np.ndarray]]:
+    """Dense Hamiltonian blocks, one per (q, 2Sz) sector, and each sector's
+    state indices."""
+    ham, _, sectors = _fock_space(k, chain, sites)
+    return {s: ham[np.ix_(i, i)] for s, i in sectors.items()}, sectors
 
 
 @dataclass
@@ -187,9 +120,11 @@ class ExactGround:
 
 
 def _solve(k: KondoParams, chain: WilsonChain, sites: int):
-    """Each sector's eigenvalues and eigenvectors, and the basis."""
-    blocks, basis = sector_hamiltonians(k, chain, sites)
-    return {s: np.linalg.eigh(b) for s, b in blocks.items()}, basis
+    """Each sector's eigenvalues and eigenvectors, and O_x + O_x^dag with the
+    sectors' states."""
+    ham, ox, sectors = _fock_space(k, chain, sites)
+    eig = {s: np.linalg.eigh(ham[np.ix_(i, i)]) for s, i in sectors.items()}
+    return eig, ox, sectors
 
 
 def exact_ground(k: KondoParams, chain: WilsonChain, sites: int) -> ExactGround:
@@ -197,11 +132,10 @@ def exact_ground(k: KondoParams, chain: WilsonChain, sites: int) -> ExactGround:
     return _ground(*_solve(k, chain, sites))
 
 
-def _ground(eig, basis: FockBasis) -> ExactGround:
+def _ground(eig, ox: np.ndarray, sectors: dict[Sector, np.ndarray]) -> ExactGround:
     e0 = min(w[0] for w, _ in eig.values())
     tol = _GROUND_TOL * max(1.0, abs(e0))
 
-    n_orb = 2 * basis.sites
     sx_vals: list[float] = []
     sz_vals: list[float] = []
     for sec in sorted(eig):
@@ -209,13 +143,13 @@ def _ground(eig, basis: FockBasis) -> ExactGround:
         hit = np.nonzero(w - e0 <= tol)[0]
         if len(hit) == 0:
             continue
-        ox = spin_flip_matrix(basis, sec)
-        imp_sz = np.array(
-            [0.5 * (1 - 2 * (st >> n_orb)) for st in basis.sectors[sec]]
-        )
+        idx = sectors[sec]
+        ox_sec = ox[np.ix_(idx, idx)]
+        # the impurity bit is the high one: the lower half of the states has spin up
+        imp_sz = np.where(idx < len(ox) // 2, 0.5, -0.5)
         for i in hit:
             vec = v[:, i]
-            sx_vals.append(float(vec @ ox @ vec))
+            sx_vals.append(float(vec @ ox_sec @ vec))
             sz_vals.append(2.0 * float(vec @ (imp_sz * vec)))
     return ExactGround(
         e0=float(e0),
@@ -280,8 +214,8 @@ def compare_with_nrg(
     both raw observables must agree to 1e-9; a deliberately truncated run
     reports its deviation and never passes that gate.
     """
-    eig, basis = _solve(k, chain, sites)
-    exact = _ground(eig, basis)
+    eig, ox, sectors = _solve(k, chain, sites)
+    exact = _ground(eig, ox, sectors)
     state, sx_raw, sz_raw = _at_depth(k, chain, sites, n_keep)
 
     # the charge sector q of the oracle holds the I_z = q/2 member of every

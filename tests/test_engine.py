@@ -38,9 +38,9 @@ from spinboson_nrg.observables import (
 )
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN
 from spinboson_nrg.fock import N_EL, UP
-from spinboson_nrg.oracle import _apply_fdag, sector_hamiltonians
+from spinboson_nrg.oracle import sector_hamiltonians
 
-from dense_hamiltonian import full_hamiltonian
+from dense_hamiltonian import fock_operators, full_hamiltonian
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 
@@ -143,22 +143,6 @@ class TestAddSite:
         assert states[-1].e0_accumulated == pytest.approx(exact.e0, abs=1e-12)
 
 
-def _fock_ops(sites):
-    """f^dag per orbital (2 site + spin) and the electron parity, on the
-    oracle's Fock space of the impurity and `sites` chain sites."""
-    dim = 1 << (2 * sites)
-    fdag = []
-    for orb in range(2 * sites):
-        m = np.zeros((dim, dim))
-        for occ in range(dim):
-            res = _apply_fdag(occ, orb)
-            if res is not None:
-                m[res[0], occ] = res[1]
-        fdag.append(np.kron(np.eye(2), m))  # the impurity bit is the high one
-    parity = np.diag([(-1.0) ** bin(i % dim).count("1") for i in range(2 * dim)])
-    return fdag, parity
-
-
 def _fock_highest_weights(k, sites):
     """The last iteration's kept highest weights as Fock vectors of the oracle,
     built up site by site from the engine's layout and vectors.
@@ -167,9 +151,11 @@ def _fock_highest_weights(k, sites):
     the parity-signed f^dag_n |J J>, DOUBLE f^dag_n,up f^dag_n,dn |J J>, and
     EMPTY sqrt(q/(q+1)) |J J> - (-1)^n/sqrt(q (q+1)) f^dag_n,up f^dag_n,dn I^-|J J>.
     """
-    fdag, parity = _fock_ops(sites)
-    chain = build_chain(2.0, sites)
+    fdag = fock_operators(sites)
     n_orb = 2 * sites
+    # the electron parity; the impurity bit is the high one
+    parity = np.diag([(-1.0) ** bin(i % (1 << n_orb)).count("1") for i in range(2 << n_orb)])
+    chain = build_chain(2.0, sites)
     vectors = {}
     for two_sz in (1, -1):  # the bare impurity, every site empty
         v = np.zeros((2 << n_orb, 1))
@@ -212,7 +198,7 @@ class TestFermionicSigns:
         # Jordan-Wigner-ordered Fock space: an orthonormal set of highest
         # weights, in their sector, each an eigenvector of the oracle's H
         st, vectors, raise_op, chain = _fock_highest_weights(k, 4)
-        ham, labels, _ = full_hamiltonian(k, chain, 4)
+        ham, labels = full_hamiltonian(k, chain, 4)
         for t, blk in st.blocks.items():
             v = vectors[t]
             assert blk.mult == t.q + 1
@@ -845,7 +831,7 @@ class TestZ2Symmetry:
 
     def test_isospin_and_flip_commute_with_oracle_hamiltonian(self, eps):
         k = _alpha_04(eps)
-        ham, labels, _ = full_hamiltonian(k, build_chain(2.0, 3), 3)
+        ham, labels = full_hamiltonian(k, build_chain(2.0, 3), 3)
         m = _oracle_flip(3)
         assert np.array_equal(m @ m.T, np.eye(len(m)))
         # the sector map: labels of the image states
@@ -855,7 +841,7 @@ class TestZ2Symmetry:
         commutator = np.abs(m @ ham - ham @ m).max()
         assert (commutator < 1e-14) if holds else (commutator > 1e-3)
         # the staggered isospin raiser commutes at every field; F flips its sign
-        fdag, _ = _fock_ops(3)
+        fdag = fock_operators(3)
         raise_op = sum((-1) ** n * fdag[2 * n] @ fdag[2 * n + 1] for n in range(3))
         assert np.abs(raise_op @ ham - ham @ raise_op).max() < 1e-14
         assert np.array_equal(m @ raise_op @ m.T, -raise_op)

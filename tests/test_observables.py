@@ -24,7 +24,7 @@ from spinboson_nrg.observables import (
     init_operator_blocks,
     propagate,
 )
-from spinboson_nrg.oracle import sector_hamiltonians, spin_flip_matrix
+from spinboson_nrg.oracle import _fock_space
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 
@@ -103,9 +103,9 @@ class TestPropagate:
         # of every multiplet block with 2I >= |q| of the same parity
         chain = build_chain(2.0, 3)
         st, ops = _trajectory(GENERIC, chain, 3)
-        hams, basis = sector_hamiltonians(GENERIC, chain, 3)
-        for sec in hams:
-            direct = spin_flip_matrix(basis, sec)
+        _, ox, sectors = _fock_space(GENERIC, chain, 3)
+        for sec, states in sectors.items():
+            direct = ox[np.ix_(states, states)]
             w_prop = []
             for s, b in st.blocks.items():
                 if s.two_sz == sec.two_sz and s.q >= abs(sec.q) and (s.q - sec.q) % 2 == 0:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,40 +11,28 @@ from spinboson_nrg import (
     exact_ground,
     hellmann_feynman_check,
 )
-from spinboson_nrg.oracle import _apply_f, _apply_fdag, build_basis
+from spinboson_nrg.fock import FDAG_DN, FDAG_UP
+from spinboson_nrg.oracle import _apply_f, sector_hamiltonians
 
-from dense_hamiltonian import full_hamiltonian
+from dense_hamiltonian import fock_operators, full_hamiltonian
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 ZERO_FIELD = KondoParams(rho0_jperp=0.3, rho0_jpar=1.1, field=0.0)
 
 
-def _operator_matrix(apply_fn, sites, orb):
-    dim = 1 << (2 * sites)
-    m = np.zeros((dim, dim))
-    for occ in range(dim):
-        res = apply_fn(occ, orb)
-        if res is not None:
-            new_occ, sign = res
-            m[new_occ, occ] = sign
-    return m
-
-
 class TestFockBasis:
     def test_state_count_and_partition(self):
+        # every state lies in exactly one sector
         for sites in (1, 2, 3):
-            basis = build_basis(sites)
-            assert basis.dim == 2 * 4**sites
-            total = sum(len(v) for v in basis.sectors.values())
-            assert total == basis.dim
-            seen = sorted(i for v in basis.sectors.values() for i in v)
-            assert seen == list(range(basis.dim))
+            blocks, sectors = sector_hamiltonians(GENERIC, build_chain(2.0, sites), sites)
+            seen = np.sort(np.concatenate(list(sectors.values())))
+            assert np.array_equal(seen, np.arange(2 * 4**sites))
+            assert all(len(blocks[s]) == len(v) for s, v in sectors.items())
 
     def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            build_basis(6)
-        with pytest.raises(DomainError):
-            build_basis(0)
+        for sites in (0, 6):
+            with pytest.raises(DomainError, match=f"sites={sites} outside 1..5"):
+                sector_hamiltonians(GENERIC, build_chain(2.0, 7), sites)
 
     @pytest.mark.parametrize(
         "entry, chain_sites, sites",
@@ -57,29 +47,69 @@ class TestFockBasis:
 
 class TestJordanWigner:
     def test_anticommutation(self):
-        sites = 2
-        n_orb = 2 * sites
-        f = [_operator_matrix(_apply_f, sites, o) for o in range(n_orb)]
-        fdag = [_operator_matrix(_apply_fdag, sites, o) for o in range(n_orb)]
-        eye = np.eye(1 << n_orb)
-        for a in range(n_orb):
-            for b in range(n_orb):
+        f = fock_operators(2, _apply_f)
+        fdag = fock_operators(2)
+        eye = np.eye(len(f[0]))
+        for a in range(len(f)):
+            for b in range(len(f)):
                 anti = f[a] @ fdag[b] + fdag[b] @ f[a]
                 expected = eye if a == b else 0.0 * eye
                 assert np.max(np.abs(anti - expected)) < 1e-12
                 assert np.max(np.abs(f[a] @ f[b] + f[b] @ f[a])) < 1e-12
 
     def test_fdag_is_transpose_of_f(self):
-        for orb in range(4):
-            f = _operator_matrix(_apply_f, 2, orb)
-            fdag = _operator_matrix(_apply_fdag, 2, orb)
+        for f, fdag in zip(fock_operators(2, _apply_f), fock_operators(2)):
             assert np.array_equal(f.T, fdag)
 
 
+def _kronecker_hamiltonian(k, chain, sites):
+    """H from `fock`'s site operators, with the Jordan-Wigner string as the
+    parity diag(1, -1, -1, 1) of every lower site.  Kronecker order impurity,
+    site sites - 1, ..., site 0 gives the oracle's state index."""
+    parity = np.diag([1.0, -1.0, -1.0, 1.0])
+
+    def site_op(site, op):
+        factors = [np.eye(2)] + [
+            op if n == site else parity if n < site else np.eye(4)
+            for n in reversed(range(sites))
+        ]
+        return reduce(np.kron, factors)
+
+    def impurity(op):
+        return np.kron(op, np.eye(4**sites))
+
+    s_z = impurity(np.diag([0.5, -0.5]))  # impurity bit 0 is spin up
+    s_minus = impurity(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    up = [site_op(n, FDAG_UP) for n in range(sites)]
+    dn = [site_op(n, FDAG_DN) for n in range(sites)]
+    ham = 0.5 * k.jpar * (up[0] @ up[0].T - dn[0] @ dn[0].T) @ s_z + k.field * s_z
+    for n in range(sites - 1):
+        for fdag in (up, dn):
+            hop = chain.hop[n] * fdag[n + 1] @ fdag[n].T
+            ham = ham + hop + hop.T
+    flip = 0.5 * k.jperp * up[0] @ dn[0].T @ s_minus
+    return ham + flip + flip.T
+
+
 class TestHamiltonian:
+    @pytest.mark.parametrize("sites", [1, 2, 3])
+    @pytest.mark.parametrize("k", [GENERIC, ZERO_FIELD], ids=["generic", "zero-field"])
+    def test_blocks_match_kronecker_products(self, k, sites):
+        # an independent build of H, which would catch a slip in the
+        # oracle's Jordan-Wigner signs that the comparison with the
+        # iterative solver cannot see (on this chain the signs are a gauge)
+        chain = build_chain(2.0, sites)
+        dense = _kronecker_hamiltonian(k, chain, sites)
+        blocks, sectors = sector_hamiltonians(k, chain, sites)
+        inside = np.zeros(dense.shape, dtype=bool)
+        for sec, states in sectors.items():
+            np.testing.assert_array_equal(blocks[sec], dense[np.ix_(states, states)])
+            inside[np.ix_(states, states)] = True
+        assert np.max(np.abs(dense[~inside])) == 0.0
+
     def test_hermitian_and_block_diagonal(self):
         chain = build_chain(2.0, 3)
-        ham, labels, basis = full_hamiltonian(GENERIC, chain, 3)
+        ham, labels = full_hamiltonian(GENERIC, chain, 3)
         assert np.max(np.abs(ham - ham.T)) == 0.0
         same_sector = (labels[:, None, 0] == labels[None, :, 0]) & (
             labels[:, None, 1] == labels[None, :, 1]

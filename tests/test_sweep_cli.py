@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -259,6 +260,14 @@ class TestVerify:
     def test_lambda_15_passes(self):
         report = verify(1.5)
         assert report.passed
+
+    def test_report_serializes_as_json(self):
+        # every verdict is a Python bool, so the report is plain JSON
+        report = verify()
+        assert all(type(c.passed) is bool for c in report.checks)
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
+        assert payload["passed"] is True
+        assert len(payload["checks"]) == len(report.checks)
 
     def test_sabotaged_sign_rule_fails(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "_block_parity_sign", lambda q, n: 1.0)
