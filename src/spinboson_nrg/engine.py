@@ -84,11 +84,11 @@ eigenproblems, and numpy's `eigh` releases the GIL.  `run` diagonalizes them
 on the calling thread and one helper thread per further usable CPU, with
 OpenBLAS held on one thread for the run (`_block_mapper`): a multithreaded
 BLAS beside the helpers would oversubscribe the cores.  The blocks come
-largest first; the helpers take from the large end, and the caller takes the
-small blocks meanwhile (`_drain`).  With one usable CPU there is no
-helper.  The results are gathered by sector, so any of these runs matches a
-serial one at the same BLAS thread count bit for bit.  `run` stays serial
-where numpy's OpenBLAS is not found and in the worker processes of a sweep.
+largest first, and each thread takes the next one (`_drain`).  With one
+usable CPU there is no helper.  The results are gathered by sector, so any
+of these runs matches a serial one at the same BLAS thread count bit for
+bit.  `run` stays serial where numpy's OpenBLAS is not found and in the
+worker processes of a sweep.
 
 Step loop and verdict: `iterate` alone steps the iterations (`add_site`,
 `truncate`, then the observables' `propagate` and read-out), for `run` and
@@ -638,9 +638,10 @@ class ConvergenceReport:
 
     sx, sz: -<O_x + O_x^dag> and -2<S_z> of the ground multiplet (`run` flips
     the raw sign), averaged over the last two iterations when even_odd_averaged,
-    the plateau of a flow alternating with the parity of n.  They are results
-    only when converged: scale_met (n_m > n_star, the depth `_n_star`) and
-    plateau_met (`_plateau_status`).
+    the plateau of a flow alternating with the parity of n; sz is 0.0 where F
+    is a symmetry (IterationState.flip).  They are results only when
+    converged: scale_met (n_m > n_star, the depth `_n_star`) and plateau_met
+    (`_plateau_status`).
     drift_sx, drift_sz: max - min of the raw values over the last
     PLATEAU_WINDOW iterations.  history: (n, sx_raw, sz_raw) per iteration
     0 .. n_m, in the raw sign.
@@ -709,42 +710,30 @@ def _drain(pool: ThreadPoolExecutor, helpers: int, fn, *iterables) -> list:
     """map(fn, *iterables) as a list, on the calling thread and helpers
     drain tasks of pool.
 
-    The tasks come largest block first, a block's rows being the length of a
-    task's first argument, and are drained from both ends.  Each helper takes
-    from the large end.  The caller takes from the small end while the
-    smallest block left has at most half the rows of the largest left, and
-    from the large end after that, so the step still ends on the smallest
-    blocks.  (A caller always at the small end can meet the helpers at a
-    mid-size block that ends the step late.)  An exception raised in any
-    share stops the drain, and is raised once every share is back.
+    Every share takes the next task of the list, through one index under a
+    lock; `_extend` lists the blocks largest first, so the step ends on the
+    smallest.  An exception raised in any share stops the drain, and is raised
+    once every share is back.
     """
     tasks = list(zip(*iterables))
-    rows = [len(args[0]) for args in tasks]
     results: list = [None] * len(tasks)
-    lock, ends, failed = threading.Lock(), [0, len(tasks)], []
+    lock, index, failed = threading.Lock(), iter(range(len(tasks))), []
 
-    def take(caller: bool) -> int | None:
+    def take() -> int | None:
         with lock:
-            lo, hi = ends
-            if failed or lo == hi:
-                return None
-            if caller and 2 * rows[hi - 1] <= rows[lo]:
-                ends[1] = hi - 1
-                return hi - 1
-            ends[0] = lo + 1
-            return lo
+            return None if failed else next(index, None)
 
-    def drain(caller: bool) -> None:
+    def drain() -> None:
         try:
-            while (i := take(caller)) is not None:
+            while (i := take()) is not None:
                 results[i] = fn(*tasks[i])
         except BaseException:
             failed.append(True)
             raise
 
-    shares = [pool.submit(drain, False) for _ in range(helpers)]
+    shares = [pool.submit(drain) for _ in range(helpers)]
     try:
-        drain(True)
+        drain()
     finally:
         errors = [e for e in (share.exception() for share in shares) if e]
     if errors:
@@ -858,7 +847,8 @@ def run(p: SpinBosonPoint, cfg: NRGConfig) -> tuple[IterationState, ConvergenceR
         drift_sx=_drift([h[1] for h in window]),
         drift_sz=_drift([h[2] for h in window]),
         sx=-sx_raw,
-        sz=-sz_raw,
+        # S_z is odd under F: where F is a symmetry its read-out is roundoff
+        sz=0.0 if state.flip else -sz_raw,
         history=tuple(history),
     )
     return state, report

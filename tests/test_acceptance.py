@@ -121,9 +121,9 @@ def test_criterion_4_symmetric_monotonicity(symmetric_grid):
     ent_increasing = all(a < b for a, b in zip(ent, ent[1:]))
     _report(
         4,
-        sx_decreasing and ent_increasing and sz_max <= 1e-6 and ent[-1] >= 0.8,
+        sx_decreasing and ent_increasing and sz_max == 0.0 and ent[-1] >= 0.8,
         f"sx strictly decreasing: {sx_decreasing}, E strictly increasing:"
-        f" {ent_increasing}, max |sz| {sz_max:.2e} (gate 1e-6),"
+        f" {ent_increasing}, max |sz| {sz_max:.2e} (gate 0),"
         f" E(0.9)={ent[-1]:.4f} (gate 0.8)",
     )
 

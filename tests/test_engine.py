@@ -531,6 +531,26 @@ class TestOrbitPool:
         assert seen and set(seen) == {1}
         assert set(threading.enumerate()) == threads
 
+    @needs_openblas
+    def test_worker_process_maps_serially(self, monkeypatch):
+        # in a multiprocessing worker the sibling processes fill the cores: no
+        # pool, and the OpenBLAS count is left as it is
+        import multiprocessing
+
+        get, set_ = engine_mod._openblas()
+        saved = get()
+        set_(2)
+        monkeypatch.setattr(
+            multiprocessing, "parent_process", multiprocessing.current_process
+        )
+        try:
+            with engine_mod._block_mapper() as mapper:
+                assert mapper is map
+                assert get() == 2
+            assert get() == 2
+        finally:
+            set_(saved)
+
 
 class TestDrain:
     # a step's blocks, largest first, of mixed sizes
@@ -554,6 +574,28 @@ class TestDrain:
                 assert out == list(enumerate(self.ROWS))
                 assert sorted(calls) == list(range(len(blocks)))
         assert set(threading.enumerate()) == threads
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    def test_each_share_takes_blocks_in_list_order(self, helpers):
+        # one shared index: every thread takes the next block of the list, so
+        # the step ends on the smallest blocks
+        calls = []
+
+        def solve(block, k):
+            calls.append((threading.get_ident(), k))
+            time.sleep(1e-5 * len(block))  # lets the GIL go, as eigh does
+            return k
+
+        blocks = [np.zeros(n) for n in self.ROWS]
+        with ThreadPoolExecutor(max(helpers, 1)) as pool:
+            for _ in range(20):
+                calls.clear()
+                engine_mod._drain(pool, helpers, solve, blocks, range(len(blocks)))
+                if not helpers:
+                    assert [k for _, k in calls] == list(range(len(blocks)))
+                for thread in {t for t, _ in calls}:
+                    share = [k for t, k in calls if t == thread]
+                    assert share == sorted(share)
 
     def test_one_cpu_maps_on_the_caller(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -81,7 +81,7 @@ class TestRunPoint:
 
     def test_symmetric_point_band(self, sample_record):
         r = sample_record
-        assert abs(r.sz) < 1e-6
+        assert r.sz == 0.0  # S_z is odd under the zero-field spin flip
         assert 0.0 < r.sx < 1.0
         assert 0.0 < r.entropy < 1.0
 
@@ -205,6 +205,7 @@ class TestOutput:
         assert len(cells) == len(CSV_HEADER.split(","))
         assert cells[0] == "0.3"
         assert cells[6] == "true"
+        assert cells[8] == "0"  # sz at zero field, never "-0" or roundoff
 
     def test_csv_twelve_significant_digits(self, sample_record):
         buf = io.StringIO()
