@@ -35,21 +35,8 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 EXIT_ROWS = 4
 
-
-def _output_format(text: str) -> str:
-    if text not in OUTPUT_FORMATS:
-        raise ValueError(f"expected one of {OUTPUT_FORMATS}, got {text!r}")
-    return text
-
-
-# every setting: config-file key -> (converter, default); a flag that sets
-# it stores its value under the same name
-_SETTINGS = {
-    **{key: (type(f.default), f.default) for key, f in CONFIG_FIELDS.items()},
-    "jobs": (int, 1),
-    "format": (_output_format, "csv"),
-    "output": (str, None),
-}
+# the most values one axis, and one grid, may have
+MAX_VALUES = 10**6
 
 
 class CLIError(Exception):
@@ -72,32 +59,14 @@ def parse_axis(text: str) -> tuple[float, ...]:
             if step <= 0:
                 raise CLIError("range step must be positive")
             count = int(round((stop - start) / step))
+            if count + 1 > MAX_VALUES:
+                raise CLIError(f"range {text!r} has {count + 1} values,"
+                               f" more than {MAX_VALUES}")
             values = [round(start + i * step, 12) for i in range(count + 1)]
             return tuple(v for v in values if v <= stop + 1e-12)
         return tuple(float(p) for p in text.split(",") if p.strip())
     except (ValueError, OverflowError) as exc:
         raise CLIError(f"bad axis {text!r}: {exc}") from None
-
-
-def read_config_file(path: str) -> dict:
-    """Plain `key = value` lines; '#' starts a comment."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CLIError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _SETTINGS:
-                raise CLIError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _SETTINGS[key][0](raw.strip())
-            except ValueError as exc:
-                raise CLIError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    return values
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, lambda_only: bool = False):
@@ -111,16 +80,14 @@ def _add_solver_flags(p: argparse.ArgumentParser, lambda_only: bool = False):
         p.add_argument("--paper-fidelity", action="store_true",
                        help="production settings: lambda {lam}, {n_keep} kept states"
                        .format(**PAPER_FIDELITY))
-    p.add_argument("--config", default=None, metavar="PATH",
-                   help="key = value configuration file; flags win on conflict")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser):
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     _add_solver_flags(p)
     p.add_argument("--verbose", action="store_true",
                    help="print each solved point to stderr")
-    p.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
+    p.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="output file (default: stdout)")
 
@@ -158,20 +125,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_settings(args) -> dict:
-    """Every setting under its config-file key: defaults < config file <
-    --paper-fidelity < explicit flags."""
-    values = {key: default for key, (_, default) in _SETTINGS.items()}
-    if args.config:
-        values.update(read_config_file(args.config))
-    if getattr(args, "paper_fidelity", False):
-        values.update({key: PAPER_FIDELITY[f.name] for key, f in CONFIG_FIELDS.items()
-                       if f.name in PAPER_FIDELITY})
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return values
+def _config(args) -> NRGConfig:
+    """The solver settings: defaults < --paper-fidelity < explicit flags."""
+    values = dict(PAPER_FIDELITY) if getattr(args, "paper_fidelity", False) else {}
+    for key, f in CONFIG_FIELDS.items():
+        if getattr(args, key, None) is not None:
+            values[f.name] = getattr(args, key)
+    return NRGConfig(**values)
 
 
 def _print_record(rec):
@@ -210,10 +170,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        settings = _resolve_settings(args)
-        # built for every command, so a bad solver key fails where it is unread
-        cfg = NRGConfig(**{f.name: settings[key] for key, f in CONFIG_FIELDS.items()})
-        output = settings["output"]
+        cfg = _config(args)
 
         if args.command in ("point", "sweep", "preset"):
             if args.command == "preset":
@@ -225,11 +182,14 @@ def main(argv=None) -> int:
             else:  # a point is a sweep over single values
                 axes = (args.alpha, args.eps_over_delta, args.delta_ratio)
                 spec, note = SweepSpec(*map(parse_axis, axes)), None
-            open_output = _destination(output)
+            size = len(spec.alpha) * len(spec.eps_over_delta) * len(spec.delta_ratio)
+            if size > MAX_VALUES:
+                raise CLIError(f"the grid has {size} points, more than {MAX_VALUES}")
+            open_output = _destination(args.output)
             progress = _print_record if args.verbose else None
-            records = run_sweep(spec, cfg, settings["jobs"], progress)
+            records = run_sweep(spec, cfg, args.jobs, progress)
             with open_output() as stream:
-                write_output(records, settings["format"], stream, cfg, note)
+                write_output(records, args.format, stream, cfg, note)
             failed = sum(r.error is not None for r in records)
             unconverged = sum(r.error is None and not r.converged for r in records)
             return _exit_status(
@@ -239,13 +199,13 @@ def main(argv=None) -> int:
             )
 
         if args.command == "alpha-max":
-            open_output = _destination(output)
+            open_output = _destination(args.output)
             result = find_alpha_max(args.eps_over_delta, args.delta_ratio, cfg)
-            if output != "-":  # '-': the JSON replaces the summary lines
+            if args.output != "-":  # '-': the JSON replaces the summary lines
                 print(f"alpha_M = {result.alpha_m:.4f}")
                 print(f"E(alpha_M) = {result.entropy_max:.6f} bits")
                 print(f"evaluations: {result.n_evaluations}")
-            if output is not None:
+            if args.output is not None:
                 entropies = {a: r.entropy for a, r in result.evaluations.items()}
                 payload = {"metadata": _metadata(cfg), **dataclasses.asdict(result),
                            "evaluations": entropies}
@@ -263,8 +223,6 @@ def main(argv=None) -> int:
                 status = "pass" if check.passed else "FAIL"
                 print(f"[{status}] {check.name}: {check.detail}")
             return EXIT_OK if report.passed else EXIT_VERIFY
-
-        raise CLIError(f"unknown command {args.command!r}")
 
     except (CLIError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -305,11 +305,11 @@ def _nonzero_elements(m: np.ndarray) -> tuple[tuple[int, int, float, bool], ...]
     )
 
 
-@lru_cache(maxsize=16)
-def _site_elements(site_of):
-    """q -> `_nonzero_elements` of site_of(q), each q computed once.  Cached
-    per function, so the site factors below are read once per process."""
-    return lru_cache(maxsize=None)(lambda q: _nonzero_elements(site_of(q)))
+@lru_cache(maxsize=None)
+def _site_elements(site_of, q: int):
+    """`_nonzero_elements` of site_of(q), computed once per process for each
+    site factor below and q."""
+    return _nonzero_elements(site_of(q))
 
 
 # the hopping's site factors per spin, as functions of the old sector's q
@@ -326,7 +326,7 @@ def _pieces(layout: Layout, n_old_sites: int, a, b, row_sectors):
     A block, for the row sectors in row_sectors.
     """
     fixed = None if callable(b) else _nonzero_elements(b)
-    elements = _site_elements(b) if fixed is None else lambda q: fixed
+    elements = partial(_site_elements, b) if fixed is None else lambda q: fixed
     for (s_to, s_from), block in a.items():
         for l_to, l_from, elem, odd in elements(s_from.q):
             row, col = layout.get((s_to, l_to)), layout.get((s_from, l_from))

@@ -299,7 +299,7 @@ def _json_value(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-# NRGConfig fields under their output and config-file names
+# NRGConfig fields under their output names
 CONFIG_FIELDS = {"lambda" if f.name == "lam" else f.name: f for f in fields(NRGConfig)}
 
 

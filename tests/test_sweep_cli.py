@@ -26,7 +26,7 @@ from spinboson_nrg import (
     verify,
     write_output,
 )
-from spinboson_nrg.cli import main, parse_axis, read_config_file
+from spinboson_nrg.cli import MAX_VALUES, CLIError, main, parse_axis
 from spinboson_nrg.sweep import CSV_HEADER
 
 FAST = NRGConfig(n_keep=80, n_max=60)
@@ -284,29 +284,13 @@ class TestCLIHelpers:
         assert parse_axis("0.1,0.2,0.3") == (0.1, 0.2, 0.3)
         assert parse_axis("0.1:0.5:0.1") == (0.1, 0.2, 0.3, 0.4, 0.5)
 
-    def test_config_file(self, tmp_path):
-        path = tmp_path / "solver.conf"
-        path.write_text("n_keep = 64\nlambda = 2.5  # coarse\n\nn_max = 40\n")
-        values = read_config_file(str(path))
-        assert values == {"n_keep": 64, "lambda": 2.5, "n_max": 40}
-
-    def test_config_file_unknown_key(self, tmp_path):
-        path = tmp_path / "solver.conf"
-        from spinboson_nrg.cli import CLIError
-
-        # a bad key, a malformed number and an unsupported output format all
-        # fail at read time with the offending line
-        for text, message in (
-            ("n_kept = 64\n", "unknown key"),
-            ("n_max = 40\nn_keep = abc\n", r"solver\.conf:2: bad value for 'n_keep'"),
-            ("format = xml\n", r"solver\.conf:1: bad value for 'format'"),
-            ("plateau_tol = 1e-6\n", "unknown key"),  # a fixed engine constant
-            ("eta = 0.05\n", "unknown key"),  # a fixed engine constant
-        ):
-            path.write_text(text)
-            with pytest.raises(CLIError, match=message):
-                read_config_file(str(path))
-            assert main(["point", "--alpha", "0.3", "--config", str(path)]) == 1
+    def test_oversized_range_rejected_before_it_is_built(self, capsys):
+        # one value over the bound; the count is checked, no list is built
+        over = f"0:{MAX_VALUES}:1"
+        with pytest.raises(CLIError, match=f"{MAX_VALUES + 1} values"):
+            parse_axis(over)
+        assert main(["sweep", "--alpha", over]) == 1
+        assert f"{MAX_VALUES + 1} values" in capsys.readouterr().err
 
 
 class TestCLI:
@@ -321,35 +305,6 @@ class TestCLI:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
 
-    def test_config_file_flags_win(self, tmp_path):
-        conf = tmp_path / "c.conf"
-        conf.write_text("n_keep = 64\nn_max = 60\n")
-        out = tmp_path / "p.json"
-        code = main([
-            "point", "--alpha", "0.3", "--config", str(conf),
-            "--n-keep", "80", "--format", "json", "--output", str(out),
-        ])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["metadata"]["config"]["n_keep"] == 80  # flag beats file
-        assert payload["metadata"]["config"]["n_max"] == 60   # file beats default
-
-    def test_config_file_output_settings(self, tmp_path, monkeypatch):
-        calls = []
-
-        def fake_sweep(spec, cfg, jobs=1, progress=None):
-            calls.append(jobs)
-            return [sweep_mod._record(p, cfg, n_m=5, converged=True)
-                    for p in spec.points()]
-
-        monkeypatch.setattr(cli_mod, "run_sweep", fake_sweep)
-        out = tmp_path / "p.json"
-        conf = tmp_path / "c.conf"
-        conf.write_text(f"format = json\noutput = {out}\njobs = 2\n")
-        assert main(["point", "--alpha", "0.3", "--config", str(conf)]) == 0
-        assert calls == [2]
-        assert [r.alpha for r in read_json_records(str(out))] == [0.3]
-
     def test_verbose_prints_one_line_per_row(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         code = main([
@@ -363,7 +318,7 @@ class TestCLI:
 
     def test_settings_per_command(self):
         # every settable value is an argparse destination besides "command"
-        solver = {"lambda", "n_keep", "n_max", "paper_fidelity", "config"}
+        solver = {"lambda", "n_keep", "n_max", "paper_fidelity"}
         grid = solver | {"jobs", "verbose", "format", "output"}
         for argv, expected in (
             (["sweep", "--alpha", "0.3"],
@@ -371,7 +326,7 @@ class TestCLI:
             (["preset", "fig1"], grid | {"name"}),
             (["alpha-max", "--eps-over-delta", "0.1"],
              solver | {"eps_over_delta", "delta_ratio", "output"}),
-            (["verify"], {"lambda", "config"}),
+            (["verify"], {"lambda"}),
         ):
             dests = set(vars(cli_mod.build_parser().parse_args(argv))) - {"command"}
             assert dests == expected, argv
@@ -405,7 +360,7 @@ class TestCLI:
         assert main(["sweep", "--alpha", axis]) == 1
         assert capsys.readouterr().err.startswith("error: bad axis")
 
-    def test_non_positive_jobs_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_non_positive_jobs_exit_code(self, capsys, monkeypatch):
         solved = []
 
         def solve(p, cfg):
@@ -413,21 +368,34 @@ class TestCLI:
             raise RuntimeError("a point was solved")
 
         monkeypatch.setattr(sweep_mod, "run_point", solve)
-        conf = tmp_path / "c.conf"
-        conf.write_text("jobs = 0\n")
-        # the flag and the config key alike, before any point is solved
-        for extra in (["--jobs", "0"], ["--jobs", "-2"], ["--config", str(conf)]):
+        # before any point is solved
+        for extra in (["--jobs", "0"], ["--jobs", "-2"]):
             assert main(["point", "--alpha", "0.5", *extra]) == 1
             assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
         assert solved == []
 
+    def test_oversized_grid_exit_code(self, capsys, monkeypatch):
+        def solve(p, cfg):
+            pytest.fail("a point was solved")  # not an Exception: no row catches it
+
+        monkeypatch.setattr(sweep_mod, "run_point", solve)
+        # 999 x 1002 valid points, just over the bound; each axis is under it
+        argv = ["sweep", "--alpha", "0.001:0.999:0.001",
+                "--eps-over-delta", "0:1.001:0.001"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: the grid has 1000998 points, more than {MAX_VALUES}\n"
+        )
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["point"]) == 1  # --alpha is required
         assert main(["frobnicate"]) == 1
-        # a flag the command does not read is not accepted
+        # a flag the command does not read, or a removed one, is not accepted
         for argv in (["verify", "--n-keep", "80"], ["verify", "--n-max", "60"],
                      ["verify", "--paper-fidelity"], ["verify", "--verbose"],
-                     ["alpha-max", "--eps-over-delta", "0.1", "--verbose"]):
+                     ["alpha-max", "--eps-over-delta", "0.1", "--verbose"],
+                     ["point", "--alpha", "0.3", "--config", "c.conf"],
+                     ["verify", "--config", "c.conf"]):
             capsys.readouterr()
             assert main(argv) == 1, argv
             assert "unrecognized arguments" in capsys.readouterr().err, argv
