@@ -27,14 +27,15 @@ site, a rank-1/2 tensor, is carried as its highest-weight blocks
 <I+1/2, I+1/2| f^dag |I, I>, and `_site_fdag` and `_site_raising` hold the
 spin-1/2 recoupling factors by which it enters the next f^dag and the
 hopping.  One routine, `rotate`, takes any A (x) B into the kept eigenbasis:
-the f^dag of the newest site and the carried observables alike.  It makes
-one pass per block (t_to, t_from) of the result: the rows of Y = (A (x) B)
-U_from are filled piece by piece, the A of several operators stacked, and
-then multiplied by U_to^T once.  Each step stores once where every (previous
-sector, channel) pair sits in the product basis, IterationState.layout, and
-the assembly and every rotation read that map.  The first step extends the
-bare impurity (iteration -1, energies +-h/2) by site 0 with the Kondo
-exchange; every later step adds the hopping xi_N (f^dag_new f_old + h.c.).
+the f^dag of the newest site and the carried observables alike, the latter as
+one BlockOp whose blocks stack them.  It makes one pass per block (t_to,
+t_from) of the result: the rows of Y = (A (x) B) U_from are filled piece by
+piece, for every stacked operator at once, and then multiplied by U_to^T
+once.  Each step stores once where every (previous sector, channel) pair sits
+in the product basis, IterationState.layout, and the assembly and every
+rotation read that map.  The first step extends the bare impurity (iteration
+-1, energies +-h/2) by site 0 with the Kondo exchange; every later step adds
+the hopping xi_N (f^dag_new f_old + h.c.).
 
 Assembly: an assembled block holds only its lower triangle (and its diagonal
 blocks in full), as numpy's `eigh` reads only that triangle.  Each piece is
@@ -337,48 +338,36 @@ def _pieces(layout: Layout, n_old_sites: int, a, b, row_sectors):
             yield row, col, elem, block
 
 
-def rotate(
-    state: IterationState,
-    ops: tuple[BlockOp, ...] | None,
-    b,
-    parity: tuple[float, ...] | None = None,
-) -> list[BlockOp]:
-    """A (x) B in the kept eigenbasis of state, for each A in ops.
+def rotate(state: IterationState, op: BlockOp | None, b, parity=None) -> BlockOp:
+    """A (x) B in the kept eigenbasis of state.
 
-    The A act on the block of the previous iteration; ops None stands for
-    that block's identity alone.  B acts on the channels of the newest site
-    (a matrix, or a function of the old sector's q, as in `_pieces`).
-    parity, when given, is the F parity of each result, F X_k F = parity[k]
-    X_k: under F only the representative row sectors are rotated, and
-    `_mirror` completes the rest.  One pass per block (t_to, t_from) of the
-    result: Y[rows] = elem A U_from[cols] for each of its pieces, with the A
-    of all ops stacked (a missing block as zeros), then U_to^T Y.
+    A, the BlockOp op, acts on the block of the previous iteration (None: its
+    identity); its blocks may carry leading stack axes, several operators
+    rotated in one pass.  B acts on the channels of the newest site (a matrix,
+    or a function of the old sector's q, as in `_pieces`).  parity, when
+    given, is the F parity of the result, F X F = parity X, a number or an
+    array over the stack axes: under F only the representative row sectors
+    are rotated, and `_mirror` completes the rest.  One pass per block (t_to,
+    t_from) of the result: Y[rows] = elem A U_from[cols] for each of its
+    pieces, then U_to^T Y.
     """
-    if ops is None:
-        a = {(s, s): None for s in sorted({s for s, _ in state.layout})}
-    else:
-        a = {}
-        for k in dict.fromkeys(k for op in ops for k in op):  # in a fixed order
-            blks = [op.get(k) for op in ops]
-            if any(m is None for m in blks):
-                zero = np.zeros_like(next(m for m in blks if m is not None))
-                blks = [zero if m is None else m for m in blks]
-            a[k] = np.array(blks) if len(blks) > 1 else blks[0]
+    if op is None:
+        op = {(s, s): None for s in sorted({s for s, _ in state.layout})}
     blocks = state.blocks
     groups: dict[tuple[Sector, Sector], list] = {}
     mirrored = parity is not None and state.flip
     targets = state.representatives() if mirrored else blocks
     for (t_to, rows), (t_from, cols), elem, m in _pieces(
-        state.layout, state.n, a, b, targets
+        state.layout, state.n, op, b, targets
     ):
         if t_from in blocks:
             groups.setdefault((t_to, t_from), []).append((rows, cols, elem, m))
 
-    out: list[BlockOp] = [{} for _ in ops or (None,)]
-    stack = (len(out),) if len(out) > 1 else ()  # the leading axis of y, if any
+    out: BlockOp = {}
     for key, pieces in groups.items():
         u_to, u_from = blocks[key[0]].vectors, blocks[key[1]].vectors
-        y = np.zeros(stack + (len(u_to), u_from.shape[1]))
+        # the stack axes of A, none for the identity
+        y = np.zeros(np.shape(pieces[0][3])[:-2] + (len(u_to), u_from.shape[1]))
         written = set()
         for rows, cols, elem, m in pieces:
             x, target = u_from[cols], y[..., rows, :]
@@ -392,18 +381,17 @@ def rotate(
                 np.matmul(m, x, out=target)
                 if elem != 1.0:
                     target *= elem
-        z = u_to.T @ y
-        for o, m in zip(out, z if stack else (z,)):
-            o[key] = m
+        out[key] = u_to.T @ y
     if mirrored:
-        for o, c in zip(out, parity):
-            o.update(_mirror(state, {k: m for k, m in o.items() if k[0].two_sz > 0}, c))
+        out.update(_mirror(state, {k: m for k, m in out.items() if k[0].two_sz > 0}, parity))
     return out
 
 
-def _mirror(state: IterationState, op: BlockOp, c: float) -> BlockOp:
-    """c F op F, block by block: c sym(t1) op[t1, t2] sym(t2) at (F t1, F t2)."""
+def _mirror(state: IterationState, op: BlockOp, c) -> BlockOp:
+    """c F op F, block by block: c sym(t1) op[t1, t2] sym(t2) at (F t1, F t2);
+    c is a number or an array over the stack axes of op's blocks."""
     blocks = state.blocks
+    c = np.asarray(c)[..., None, None]
     return {
         (_flipped(t1), _flipped(t2)): (c * blocks[t1].sym[:, None]) * m * blocks[t2].sym
         for (t1, t2), m in op.items()
@@ -564,10 +552,10 @@ def _fdag_blocks(state: IterationState) -> list[BlockOp]:
     `_mirror` (F f^dag_up F = c f^dag_dn), at the work of rotating both into
     the representative rows; without F it is rotated too.
     """
-    up = rotate(state, None, _SITE_FDAG[0])[0]
+    up = rotate(state, None, _SITE_FDAG[0])
     if state.flip:
         return [up, _mirror(state, up, _FDAG_FLIP_SIGN)]
-    return [up, rotate(state, None, _SITE_FDAG[1])[0]]
+    return [up, rotate(state, None, _SITE_FDAG[1])]
 
 
 def add_site(state: IterationState, chain: WilsonChain, mapper=map) -> IterationState:

@@ -2,16 +2,17 @@
 
 Two operators are carried through the iterations: the impurity spin-flip
 correlator O_x + O_x^dag (giving sx) and the impurity S_z (giving sz as the
-thermodynamic average 2<S_z>).  Both are BlockOps taken into every new
-eigenbasis by the engine's `rotate`, the routine that also carries the
-Hamiltonian's f^dag: at iteration 0 they are S^- (x) s^+ plus its transpose
-and S_z (x) 1 on the bare impurity and site 0, and each later step rotates
-O (x) 1.  Both are charge-isospin scalars and conserve the total spin
-projection, so their blocks are keyed (s, s) and hold the same matrix on
-every member of a multiplet as on its highest weight, and both contain an
-even number of fermion operators, so no sign strings appear when a site is
-added.  Each declares only its parity under the spin flip (O_x even, S_z
-odd), from which `rotate` completes the blocks that the flip mirrors.
+thermodynamic average 2<S_z>), stacked in that order in each block of one
+BlockOp.  The engine's `rotate`, the routine that also carries the
+Hamiltonian's f^dag, takes it into every new eigenbasis: at iteration 0 the
+two are S^- (x) s^+ plus its transpose and S_z (x) 1 on the bare impurity and
+site 0, and each later step rotates O (x) 1.  Both are charge-isospin scalars
+and conserve the total spin projection, so their blocks are keyed (s, s) and
+hold the same matrix on every member of a multiplet as on its highest weight,
+and both contain an even number of fermion operators, so no sign strings
+appear when a site is added.  Each declares only its parity under the spin
+flip (O_x even, S_z odd), from which `rotate` completes the blocks that the
+flip mirrors.
 
 Sign convention: with the Hamiltonian used here the raw ground-state
 correlator <O_x + O_x^dag> is negative and, for a positive field, <2 S_z> is
@@ -35,24 +36,23 @@ from .params import DomainError
 
 @dataclass
 class OperatorBlocks:
-    """O_x + O_x^dag and impurity S_z in the eigenbasis of iteration n."""
+    """O_x + O_x^dag and impurity S_z in the eigenbasis of iteration n, stacked
+    in that order: one (2, d, d) array per (s, s) block, for every sector."""
 
     n: int
-    ox: BlockOp
-    oz: BlockOp
+    blocks: BlockOp
 
 
 def init_operator_blocks(state: IterationState) -> OperatorBlocks:
     """Exact matrices of O_x + O_x^dag and impurity S_z at iteration 0."""
     if state.layout is None or state.n != 0:
         raise ValueError("operator blocks must be seeded from the impurity-site state")
-    (flip,) = rotate(state, (S_MINUS,), SITE_S_PLUS)
-    (oz,) = rotate(state, (S_Z,), SITE_ONE)
-    return OperatorBlocks(
-        n=0,
-        ox={key: m + m.T for key, m in flip.items()},  # keys are (s, s)
-        oz=oz,
-    )
+    flip = rotate(state, S_MINUS, SITE_S_PLUS)  # keys are (s, s)
+    blocks = {}
+    for key, oz in rotate(state, S_Z, SITE_ONE).items():  # S_z has every block
+        ox = flip[key] + flip[key].T if key in flip else np.zeros_like(oz)
+        blocks[key] = np.array([ox, oz])
+    return OperatorBlocks(0, blocks)
 
 
 def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
@@ -65,8 +65,7 @@ def propagate(ops: OperatorBlocks, state: IterationState) -> OperatorBlocks:
         raise ValueError(
             f"cannot propagate operators tagged n={ops.n} to iteration n={state.n}"
         )
-    ox, oz = rotate(state, (ops.ox, ops.oz), SITE_ONE, (1.0, -1.0))
-    return OperatorBlocks(n=state.n, ox=ox, oz=oz)
+    return OperatorBlocks(state.n, rotate(state, ops.blocks, SITE_ONE, (1.0, -1.0)))
 
 
 def ground_expectation_raw(
@@ -79,22 +78,19 @@ def ground_expectation_raw(
     subspace.  Each isospin multiplet weighs its 2I + 1 states, which share
     the values of its highest weight.
     """
-    sx_vals: list[float] = []
-    sz_vals: list[float] = []
+    diagonals: list[np.ndarray] = []
     weights: list[int] = []
     for s in sorted(state.blocks):
         block = state.blocks[s]
         if block.energies[0] > DEGENERACY_TOL:  # ascending: no ground level here
             continue
-        ox, oz = ops.ox.get((s, s)), ops.oz.get((s, s))
-        for i in np.nonzero(block.energies <= DEGENERACY_TOL)[0]:
-            sx_vals.append(0.0 if ox is None else float(ox[i, i]))
-            sz_vals.append(0.0 if oz is None else 2.0 * float(oz[i, i]))
-            weights.append(block.mult)
-    if not sx_vals:
+        ground = np.flatnonzero(block.energies <= DEGENERACY_TOL)
+        diagonals.append(ops.blocks[(s, s)][:, ground, ground])
+        weights += [block.mult] * len(ground)
+    if not weights:
         raise ValueError("no ground state found below the degeneracy tolerance")
-    sx, sz = np.average([sx_vals, sz_vals], axis=1, weights=weights)
-    return float(sx), float(sz)
+    sx, sz = np.average(np.concatenate(diagonals, axis=1), axis=1, weights=weights)
+    return float(sx), 2.0 * float(sz)
 
 
 def entanglement_entropy(sx: float, sz: float) -> tuple[float, float, float]:
@@ -104,7 +100,7 @@ def entanglement_entropy(sx: float, sz: float) -> tuple[float, float, float]:
     by symmetry); E = -p+ log2 p+ - p- log2 p- with 0 log 0 = 0.
     """
     norm = math.hypot(sx, sz)
-    if norm > 1.0 + 1e-6:
+    if not norm <= 1.0 + 1e-6:  # NaN too
         raise DomainError(f"nonphysical density matrix: |<sigma>| = {norm}")
     norm = min(norm, 1.0)
     p_plus = 0.5 * (1.0 + norm)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, engine
 from .chain import build_chain
 from .engine import NRGConfig, run
 from .observables import entanglement_entropy
@@ -222,7 +222,8 @@ def run_sweep(
     jobs: int = 1,
     progress=None,
 ) -> list[ObservableRecord]:
-    """Evaluate every grid point; with jobs > 1, points run in a process pool.
+    """Evaluate every grid point; with jobs > 1, points run in a process pool
+    of min(jobs, usable CPUs) workers, and serially when that is 1.
 
     Pool workers run BLAS single-threaded (see `_process_pool`); they are
     spawned and re-import `__main__`, so a script needs jobs > 1 calls under
@@ -233,9 +234,9 @@ def run_sweep(
     work = [(p, cfg) for p in spec.points()]
     records = []
     with contextlib.ExitStack() as stack:
-        mapper = map
-        if jobs > 1:
-            mapper = stack.enter_context(_process_pool(jobs)).map
+        mapper, workers = map, min(jobs, engine._usable_cpus())
+        if workers > 1:
+            mapper = stack.enter_context(_process_pool(workers)).map
         for rec in mapper(_evaluate_point, work):
             records.append(rec)
             if progress:

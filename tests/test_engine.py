@@ -74,7 +74,7 @@ class TestImpuritySite:
         assert spec[-1] == pytest.approx(0.15, abs=1e-12)
         # ground states have the impurity spin anti-aligned with the field:
         # every sector at zero energy holds one, and each has <S_z> < 0
-        oz = init_operator_blocks(st).oz
+        oz = init_operator_blocks(st).blocks  # S_z is the second of the stack
         ground = {s: b for s, b in st.blocks.items() if b.energies[0] == 0.0}
         # the impurity down with site 0 in any state: the empty site and the
         # double form one isospin doublet, up and down are singlets
@@ -82,7 +82,7 @@ class TestImpuritySite:
         assert sum(b.mult for b in ground.values()) == 4
         for s, b in ground.items():
             for i in np.flatnonzero(b.energies <= 1e-12):
-                assert oz[(s, s)][i, i] == pytest.approx(-0.5, abs=1e-12)
+                assert oz[(s, s)][1, i, i] == pytest.approx(-0.5, abs=1e-12)
 
     def test_eight_states_in_sectors(self):
         st = init_impurity_site(GENERIC)
@@ -387,7 +387,7 @@ needs_openblas = pytest.mark.skipif(
 )
 
 
-class TestOrbitPool:
+class TestBlockPool:
     @needs_openblas
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_pooled_run_matches_serial_loop(self, eps, monkeypatch):
@@ -828,10 +828,10 @@ class TestZ2Symmetry:
         ops = init_operator_blocks(st)
         for _ in range(8):
             st = truncate(add_site(st, chain), 120)
-            full = rotate(st, (ops.ox, ops.oz), SITE_ONE)
-            full += [rotate(st, None, partial(engine_mod._site_fdag, f))[0] for f in FDAG]
+            full = [rotate(st, ops.blocks, SITE_ONE)]
+            full += [rotate(st, None, partial(engine_mod._site_fdag, f)) for f in FDAG]
             ops = propagate(ops, st)
-            filled = [ops.ox, ops.oz, *engine_mod._fdag_blocks(st)]
+            filled = [ops.blocks, *engine_mod._fdag_blocks(st)]
             for op, ref in zip(filled, full):
                 assert op.keys() == ref.keys()
                 for key in ref:
@@ -898,6 +898,11 @@ def _dense(op, order, dims):
     return m
 
 
+def _component(op, i):
+    """The i-th operator of a BlockOp whose blocks are stacked."""
+    return {key: m[i] for key, m in op.items()}
+
+
 def _check_against_dense(st, op, dense, pos):
     """op against U_t^T dense U_u on every pair of st's blocks; dense acts on
     the old kept multiplets x the four site states, pos[t] the rows of t there."""
@@ -927,8 +932,10 @@ def test_rotations_match_dense_kron(eps):
         for (s, loc), (t, rows) in st.layout.items():
             if t in pos:  # a product sector may be truncated away
                 pos[t][rows] = (off[s] + np.arange(dims[s])) * 4 + loc
-        for new_op, old_op in ((ops.ox, old_ops.ox), (ops.oz, old_ops.oz)):
-            _check_against_dense(st, new_op, np.kron(_dense(old_op, order, dims), np.eye(4)), pos)
+        for i in range(2):  # O_x + O_x^dag, then S_z
+            old_op = _component(old_ops.blocks, i)
+            dense = np.kron(_dense(old_op, order, dims), np.eye(4))
+            _check_against_dense(st, _component(ops.blocks, i), dense, pos)
         # f^dag_sigma of site n on the highest weights of an old multiplet I =
         # q/2: the empty site enters I + 1/2 with weight sqrt(q/(q+1)), and the
         # n old sites and q give the fermion parity it passes
@@ -945,7 +952,8 @@ def test_rotations_match_dense_kron(eps):
 def test_rotate_matches_dense_kron_for_a_general_product():
     # B with two elements in a row (UP <- UP and UP <- DN) and A with blocks
     # (s, s) and (s, s + 2 two_sz) put two pieces on the same rows of one
-    # block; the second op lacks the blocks off the diagonal
+    # block; the second op lacks the blocks off the diagonal, so the stack
+    # holds zeros there
     chain = build_chain(2.0, 4)
     old = truncate(add_site(add_site(init_impurity_site(GENERIC), chain), chain), 40)
     st = add_site(old, chain)
@@ -959,8 +967,31 @@ def test_rotate_matches_dense_kron_for_a_general_product():
     pos = {t: np.zeros(len(blk.vectors), dtype=int) for t, blk in st.blocks.items()}
     for (s, loc), (t, rows) in st.layout.items():
         pos[t][rows] = (off[s] + np.arange(dims[s])) * 4 + loc
-    for op, ref in zip(rotate(st, (a, a2), b), (a, a2)):
-        _check_against_dense(st, op, np.kron(_dense(ref, order, dims), b), pos)
+    stacked = {k: np.array([m, a2.get(k, np.zeros_like(m))]) for k, m in a.items()}
+    out = rotate(st, stacked, b)
+    for i, ref in enumerate((a, a2)):
+        dense = np.kron(_dense(ref, order, dims), b)
+        _check_against_dense(st, _component(out, i), dense, pos)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_stacked_rotation_equals_separate_rotations(eps):
+    # at eps = 0 the parity array (+1, -1) takes the mirrored path, and each
+    # operator rotated alone takes its own parity as a number
+    chain = build_chain(2.0, 6)
+    st = init_impurity_site(_alpha_04(eps))
+    ops = init_operator_blocks(st)
+    for _ in range(5):
+        st = truncate(add_site(st, chain), 60)
+        assert st.flip == (eps == 0.0)
+        stacked = rotate(st, ops.blocks, SITE_ONE, (1.0, -1.0))
+        apart = [
+            rotate(st, _component(ops.blocks, i), SITE_ONE, c) for i, c in enumerate((1.0, -1.0))
+        ]
+        assert stacked.keys() == apart[0].keys() == apart[1].keys()
+        for key, m in stacked.items():
+            assert np.array_equal(m, np.array([apart[0][key], apart[1][key]]))
+        ops = propagate(ops, st)
 
 
 @pytest.mark.parametrize("field", [0.0, 0.05])

@@ -46,24 +46,24 @@ class TestInitOperatorBlocks:
         ops = init_operator_blocks(st)
         # only the two-dimensional (0, 0) sector hosts the spin flip
         center = (Sector(0, 0), Sector(0, 0))
-        assert np.allclose(np.abs(np.linalg.eigvalsh(ops.ox[center])), [1.0, 1.0])
-        for key, m in ops.ox.items():
+        assert np.allclose(np.abs(np.linalg.eigvalsh(ops.blocks[center][0])), [1.0, 1.0])
+        for key, m in ops.blocks.items():
             assert key[0] == key[1]
             if key != center:
-                assert np.max(np.abs(m)) < 1e-14
+                assert np.max(np.abs(m[0])) < 1e-14  # O_x is zero-filled there
 
     def test_impurity_sz_diagonal(self):
         st = init_impurity_site(GENERIC)
         ops = init_operator_blocks(st)
         for sec in st.blocks:
-            w = np.linalg.eigvalsh(ops.oz[(sec, sec)])
+            w = np.linalg.eigvalsh(ops.blocks[(sec, sec)][1])
             assert np.all(np.isin(np.round(2 * w), [-1, 1]))
 
     def test_blocks_symmetric(self):
         st = init_impurity_site(GENERIC)
         ops = init_operator_blocks(st)
-        for m in list(ops.ox.values()) + list(ops.oz.values()):
-            assert np.max(np.abs(m - m.T)) < 1e-14
+        for m in ops.blocks.values():  # both operators of each stacked block
+            assert np.max(np.abs(m - np.swapaxes(m, 1, 2))) < 1e-14
 
 
 class TestPropagate:
@@ -71,13 +71,13 @@ class TestPropagate:
         chain = build_chain(2.0, 4)
         st = init_impurity_site(GENERIC)
         eye = {(s, s): np.eye(len(b.energies)) for s, b in st.blocks.items()}
-        ops = OperatorBlocks(n=0, ox=dict(eye), oz=dict(eye))
+        ops = OperatorBlocks(n=0, blocks={k: np.array([m, m]) for k, m in eye.items()})
         for _ in range(3):
             st = add_site(st, chain)
             st = truncate(st, 100)
             ops = propagate(ops, st)
             for s, b in st.blocks.items():
-                assert np.max(np.abs(ops.ox[(s, s)] - np.eye(len(b.energies)))) < 1e-12
+                assert np.max(np.abs(ops.blocks[(s, s)][0] - np.eye(len(b.energies)))) < 1e-12
 
     def test_hermiticity_preserved_long_run(self):
         p = SpinBosonPoint(alpha=0.4, epsilon=0.1, delta_ratio=0.04)
@@ -90,9 +90,7 @@ class TestPropagate:
             st = truncate(st, 150)
             ops = propagate(ops, st)
         worst = max(
-            float(np.max(np.abs(m - m.T)))
-            for blocks in (ops.ox, ops.oz)
-            for m in blocks.values()
+            float(np.max(np.abs(m - np.swapaxes(m, 1, 2)))) for m in ops.blocks.values()
         )
         assert worst < 1e-9
 
@@ -107,11 +105,10 @@ class TestPropagate:
         for sec, states in sectors.items():
             direct = ox[np.ix_(states, states)]
             w_prop = []
-            for s, b in st.blocks.items():
+            for s in st.blocks:
                 if s.two_sz == sec.two_sz and s.q >= abs(sec.q) and (s.q - sec.q) % 2 == 0:
-                    # a missing block is a zero block
-                    m = ops.ox.get((s, s), np.zeros((len(b.energies),) * 2))
-                    w_prop.append(np.linalg.eigvalsh(m))
+                    # OperatorBlocks holds every sector's block, zeros included
+                    w_prop.append(np.linalg.eigvalsh(ops.blocks[(s, s)][0]))
             w_prop = np.sort(np.concatenate(w_prop))
             w_direct = np.linalg.eigvalsh(direct)
             assert np.max(np.abs(w_prop - w_direct)) < 1e-10
@@ -208,6 +205,14 @@ class TestEntanglementEntropy:
         assert entanglement_entropy(1.0 + 5e-7, 0.0)[2] == 0.0
         with pytest.raises(DomainError, match="nonphysical"):
             entanglement_entropy(1.1, 0.0)
+
+    @pytest.mark.parametrize(
+        "sx, sz", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (math.inf, 0.0)]
+    )
+    def test_non_finite_norm_is_nonphysical(self, sx, sz):
+        # a NaN norm fails every comparison; it must not read as a pure state
+        with pytest.raises(DomainError, match="nonphysical"):
+            entanglement_entropy(sx, sz)
 
 
 class TestFindAlphaMax:

@@ -130,6 +130,33 @@ class TestRunSweep:
         assert "synthetic failure" in failed[0].error
         assert not failed[0].converged
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [(1000, 3, 3), (2, 3, 2), (4, 1, None)])
+    def test_workers_capped_at_usable_cpus(self, jobs, cpus, workers, monkeypatch):
+        # no process starts: the executor maps in this process, and every
+        # point is a stub record
+        given = []
+
+        class Executor:
+            def __init__(self, max_workers, mp_context=None):
+                given.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(sweep_mod.concurrent.futures, "ProcessPoolExecutor", Executor)
+        monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sweep_mod, "run_point", lambda p, cfg: sweep_mod._record(p, cfg))
+        spec = SweepSpec(alpha=(0.2, 0.4, 0.6), eps_over_delta=(0.0,), delta_ratio=(0.04,))
+        records = run_sweep(spec, FAST, jobs=jobs)
+        assert [r.alpha for r in records] == [0.2, 0.4, 0.6]
+        assert given == ([] if workers is None else [workers])  # one CPU: serial
+
 
 def _blas_threads_probe(_):
     """A pool worker's BLAS thread variables, the live OpenBLAS count, and
