@@ -649,7 +649,8 @@ class ConvergenceReport:
 
 
 def _drift(values: list[float]) -> float:
-    return max(values) - min(values)
+    """max - min, NaN if any value is; the builtins skip a NaN that is not first."""
+    return math.nan if any(map(math.isnan, values)) else max(values) - min(values)
 
 
 def _settled(rows: list[tuple[int, float, float]]) -> bool:

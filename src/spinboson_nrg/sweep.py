@@ -392,26 +392,21 @@ _VERIFY_COUPLINGS = (
 
 
 def _check_oracle(lam: float) -> VerifyCheck:
-    worst = 0.0
-    for k, sites in _VERIFY_COUPLINGS:
-        chain = build_chain(lam, sites)
-        cmp = compare_with_nrg(k, chain, sites)
-        worst = max(worst, cmp.max_eigenvalue_dev, cmp.sx_dev, cmp.sz_dev)
-        if not cmp.passed:
-            return VerifyCheck(
-                "oracle equivalence",
-                False,
-                f"deviation {worst:.2e} at sites={sites}",
-            )
-    return VerifyCheck("oracle equivalence", True, f"max deviation {worst:.2e}")
+    cmps = [
+        (sites, compare_with_nrg(k, build_chain(lam, sites), sites))
+        for k, sites in _VERIFY_COUPLINGS
+    ]
+    worst = np.max([(c.max_eigenvalue_dev, c.sx_dev, c.sz_dev) for _, c in cmps])
+    failed = [sites for sites, c in cmps if not c.passed]
+    detail = f"max deviation {worst:.2e}" + (f", failed at sites={failed}" if failed else "")
+    return VerifyCheck("oracle equivalence", not failed, detail)
 
 
 def _check_hellmann_feynman(lam: float) -> VerifyCheck:
-    worst = 0.0
-    for k, sites in _VERIFY_COUPLINGS[:2]:
-        chain = build_chain(lam, sites)
-        hf = hellmann_feynman_check(k, chain, sites)
-        worst = max(worst, hf.residual)
+    worst = np.max([
+        hellmann_feynman_check(k, build_chain(lam, sites), sites).residual
+        for k, sites in _VERIFY_COUPLINGS[:2]
+    ])
     return VerifyCheck(
         "hellmann-feynman residual", bool(worst < 1e-6), f"max residual {worst:.2e}"
     )
@@ -419,16 +414,17 @@ def _check_hellmann_feynman(lam: float) -> VerifyCheck:
 
 def _check_entropy() -> VerifyCheck:
     rng = np.random.default_rng(7)
-    worst = 0.0
+    devs = []
     for _ in range(200):
         sx, sz = rng.uniform(-1, 1, 2)
         if sx * sx + sz * sz > 1.0:
             continue
         p_plus, p_minus, e_closed = entanglement_entropy(float(sx), float(sz))
         rho = 0.5 * np.array([[1.0 + sz, sx], [sx, 1.0 - sz]])
-        w = np.linalg.eigvalsh(rho)
+        w = np.linalg.eigvalsh(rho)  # ascending
         e_direct = -sum(p * math.log2(p) for p in w if p > 0.0)
-        worst = max(worst, abs(e_closed - e_direct), abs(sorted(w)[1] - p_plus))
+        devs += [abs(e_closed - e_direct), abs(w[1] - p_plus)]
+    worst = np.max(devs)
     return VerifyCheck(
         "entropy closed form vs 2x2 density matrix",
         bool(worst < 1e-12),

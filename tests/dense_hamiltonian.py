@@ -1,5 +1,6 @@
 """The oracle's full Hamiltonian and fermion operators as dense matrices, for
-tests of invariants that span sectors."""
+tests of invariants that span sectors, and a solver read-out with a NaN level
+planted, for tests that the comparison fails on it."""
 
 import numpy as np
 
@@ -30,3 +31,13 @@ def fock_operators(sites: int, apply=_apply_fdag) -> list[np.ndarray]:
         m[image, state] = amp
         ops.append(m)
     return ops
+
+
+def nan_level(at_depth):
+    """`oracle._at_depth` with the top level of its first block set to NaN."""
+    def planted(*args):
+        state, sx_raw, sz_raw = at_depth(*args)
+        blk = next(iter(state.blocks.values()))
+        blk.energies = np.append(blk.energies[:-1], np.nan)
+        return state, sx_raw, sz_raw
+    return planted

@@ -26,7 +26,7 @@ from spinboson_nrg import (
     run,
 )
 import spinboson_nrg.engine as engine_mod
-from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, SITE_ONE
+from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, PLATEAU_WINDOW, SITE_ONE
 from spinboson_nrg.engine import EngineError
 from spinboson_nrg.engine import _n_star, _plateau_status
 from spinboson_nrg.engine import Sector, SectorBlock, add_site, init_impurity_site
@@ -699,6 +699,20 @@ class TestPlateauDetection:
 
     def test_drifting_history_rejected(self):
         hist = [(n, 0.5 + 0.01 * n, 0.0) for n in range(12)]
+        assert _plateau_status(hist) == (False, False)
+
+    @pytest.mark.parametrize("col", [1, 2])
+    @pytest.mark.parametrize("pos", range(PLATEAU_WINDOW))
+    def test_nan_in_window_not_settled(self, col, pos):
+        # the builtin max and min skip a NaN anywhere but first
+        hist = [[n, -0.1, 0.2] for n in range(PLATEAU_WINDOW)]
+        hist[pos][col] = math.nan
+        assert _plateau_status([tuple(h) for h in hist]) == (False, False)
+
+    def test_nan_in_parity_window_not_settled(self):
+        # alternating flow: the NaN sits in the even-n subsequence only
+        hist = [(n, 0.5 + (1e-4 if n % 2 else -1e-4), 0.0) for n in range(8)]
+        hist[2] = (2, math.nan, 0.0)
         assert _plateau_status(hist) == (False, False)
 
 

@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -11,10 +12,11 @@ from spinboson_nrg import (
     exact_ground,
     hellmann_feynman_check,
 )
+import spinboson_nrg.oracle as oracle_mod
 from spinboson_nrg.fock import FDAG_DN, FDAG_UP
 from spinboson_nrg.oracle import _apply_f, sector_hamiltonians
 
-from dense_hamiltonian import fock_operators, full_hamiltonian
+from dense_hamiltonian import fock_operators, full_hamiltonian, nan_level
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 ZERO_FIELD = KondoParams(rho0_jperp=0.3, rho0_jpar=1.1, field=0.0)
@@ -172,6 +174,13 @@ class TestHellmannFeynman:
             hellmann_feynman_check(GENERIC, chain, 6)
         assert hellmann_feynman_check(GENERIC, chain, 8, 50).residual < 1e-2
 
+    @pytest.mark.parametrize("scale", [0.0, -1e-4, 1.0, 2.0, math.nan, math.inf])
+    def test_step_outside_range_rejected(self, scale):
+        # the stencil needs J_perp - dj > 0; a negative step is the same stencil
+        chain = build_chain(2.0, 3)
+        with pytest.raises(DomainError, match="dj="):
+            hellmann_feynman_check(GENERIC, chain, 3, dj=scale * GENERIC.jperp)
+
 
 class TestCompareWithNRG:
     @pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
@@ -193,8 +202,9 @@ class TestCompareWithNRG:
         result = exact_ground(k, chain, 3)
         assert result.sz_raw < -0.1
 
-    def test_truncated_run_reports_deviation(self):
-        chain = build_chain(2.0, 3)
-        cmp = compare_with_nrg(GENERIC, chain, 3, n_keep=50)
+    def test_nan_eigenvalue_fails(self, monkeypatch):
+        # one NaN level among the solver's: the builtin max would drop it
+        monkeypatch.setattr(oracle_mod, "_at_depth", nan_level(oracle_mod._at_depth))
+        cmp = compare_with_nrg(GENERIC, build_chain(2.0, 3), 3)
+        assert math.isnan(cmp.max_eigenvalue_dev)
         assert not cmp.passed
-        assert cmp.max_eigenvalue_dev > 0.0

@@ -11,6 +11,7 @@ import pytest
 
 import spinboson_nrg.cli as cli_mod
 import spinboson_nrg.engine as engine_mod
+import spinboson_nrg.oracle as oracle_mod
 import spinboson_nrg.sweep as sweep_mod
 from spinboson_nrg import (
     AlphaMaxResult,
@@ -27,7 +28,10 @@ from spinboson_nrg import (
     write_output,
 )
 from spinboson_nrg.cli import MAX_VALUES, CLIError, main, parse_axis
+from spinboson_nrg.oracle import HFCheck
 from spinboson_nrg.sweep import CSV_HEADER
+
+from dense_hamiltonian import nan_level
 
 FAST = NRGConfig(n_keep=80, n_max=60)
 POINT = SpinBosonPoint(alpha=0.3, epsilon=0.0, delta_ratio=0.04)
@@ -284,6 +288,13 @@ class TestVerify:
     def test_fresh_build_passes(self):
         report = verify()
         assert report.passed, [c for c in report.checks if not c.passed]
+        # all([]) holds, so a check that drops out must show here
+        assert [c.name for c in report.checks] == [
+            "wilson-chain invariants",
+            "oracle equivalence",
+            "hellmann-feynman residual",
+            "entropy closed form vs 2x2 density matrix",
+        ]
 
     def test_lambda_15_passes(self):
         report = verify(1.5)
@@ -303,6 +314,25 @@ class TestVerify:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "oracle equivalence" in failed
+
+    def test_nan_level_fails_oracle(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_at_depth", nan_level(oracle_mod._at_depth))
+        check = sweep_mod._check_oracle(2.0)
+        assert not check.passed
+        assert check.detail == "max deviation nan, failed at sites=[3, 3, 4]"
+
+    def test_nan_residual_fails(self, monkeypatch):
+        nan_hf = HFCheck(residual=math.nan, derivative=math.nan, sx_raw=math.nan)
+        monkeypatch.setattr(sweep_mod, "hellmann_feynman_check", lambda *a: nan_hf)
+        check = sweep_mod._check_hellmann_feynman(2.0)
+        assert not check.passed
+        assert check.detail == "max residual nan"
+
+    def test_nan_entropy_fails(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "entanglement_entropy", lambda sx, sz: (math.nan,) * 3)
+        check = sweep_mod._check_entropy()
+        assert not check.passed
+        assert check.detail == "max dev nan"
 
 
 class TestCLIHelpers:
