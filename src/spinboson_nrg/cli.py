@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .engine import PAPER_FIDELITY, NRGConfig
+from .engine import NRGConfig
 from .params import DomainError
 from .sweep import (
     CONFIG_FIELDS,
@@ -77,13 +77,16 @@ def _add_solver_flags(p: argparse.ArgumentParser, lambda_only: bool = False):
                        help=f"states kept per iteration (default {NRGConfig.n_keep})")
         p.add_argument("--n-max", type=int, default=None,
                        help=f"maximum number of iterations (default {NRGConfig.n_max})")
+        bundle = NRGConfig.paper_fidelity()
         p.add_argument("--paper-fidelity", action="store_true",
-                       help="production settings: lambda {lam}, {n_keep} kept states"
-                       .format(**PAPER_FIDELITY))
+                       help=f"production settings: lambda {bundle.lam},"
+                       f" {bundle.n_keep} kept states")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser):
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the points, at most one per"
+                   " usable CPU and per point (default 1: serial)")
     _add_solver_flags(p)
     p.add_argument("--verbose", action="store_true",
                    help="print each solved point to stderr")
@@ -127,11 +130,10 @@ def build_parser() -> _Parser:
 
 def _config(args) -> NRGConfig:
     """The solver settings: defaults < --paper-fidelity < explicit flags."""
-    values = dict(PAPER_FIDELITY) if getattr(args, "paper_fidelity", False) else {}
-    for key, f in CONFIG_FIELDS.items():
-        if getattr(args, key, None) is not None:
-            values[f.name] = getattr(args, key)
-    return NRGConfig(**values)
+    base = NRGConfig.paper_fidelity() if getattr(args, "paper_fidelity", False) else NRGConfig()
+    flags = {f.name: getattr(args, key) for key, f in CONFIG_FIELDS.items()
+             if getattr(args, key, None) is not None}
+    return dataclasses.replace(base, **flags)
 
 
 def _print_record(rec):

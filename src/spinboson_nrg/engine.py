@@ -154,11 +154,8 @@ class NRGConfig:
     @classmethod
     def paper_fidelity(cls) -> "NRGConfig":
         """Production settings: finer discretization, larger kept basis."""
-        return cls(**PAPER_FIDELITY)
+        return cls(lam=1.5, n_keep=1200)
 
-
-# the production bundle behind NRGConfig.paper_fidelity and --paper-fidelity
-PAPER_FIDELITY = {"lam": 1.5, "n_keep": 1200}
 
 # `run` has converged once omega_N < ETA * Delta_r and `_plateau_status` holds;
 # levels within DEGENERACY_TOL are one multiplet, for truncation and read-out

@@ -14,7 +14,7 @@ iterative solver alone, so it also runs truncated at full depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -102,60 +102,40 @@ def _fock_space(
     return ham, ox, sectors
 
 
-def sector_hamiltonians(
-    k: KondoParams, chain: WilsonChain, sites: int
-) -> tuple[dict[Sector, np.ndarray], dict[Sector, np.ndarray]]:
-    """Dense Hamiltonian blocks, one per (q, 2Sz) sector, and each sector's
-    state indices."""
-    ham, _, sectors = _fock_space(k, chain, sites)
-    return {s: ham[np.ix_(i, i)] for s, i in sectors.items()}, sectors
-
-
 @dataclass
 class ExactGround:
     e0: float
     sx_raw: float
     sz_raw: float
     degeneracy: int
-
-
-def _solve(k: KondoParams, chain: WilsonChain, sites: int):
-    """Each sector's eigenvalues and eigenvectors, and O_x + O_x^dag with the
-    sectors' states."""
-    ham, ox, sectors = _fock_space(k, chain, sites)
-    eig = {s: np.linalg.eigh(ham[np.ix_(i, i)]) for s, i in sectors.items()}
-    return eig, ox, sectors
+    # each (q, 2Sz) sector's eigenvalues in ascending order
+    levels: dict[Sector, np.ndarray] = field(repr=False, compare=False)
 
 
 def exact_ground(k: KondoParams, chain: WilsonChain, sites: int) -> ExactGround:
-    """Exact ground energy and raw observables, multiplet averaged."""
-    return _ground(*_solve(k, chain, sites))
-
-
-def _ground(eig, ox: np.ndarray, sectors: dict[Sector, np.ndarray]) -> ExactGround:
+    """Exact ground energy and raw observables, multiplet averaged, and every
+    sector's levels, from one dense solve per sector."""
+    ham, ox, sectors = _fock_space(k, chain, sites)
+    eig = {s: np.linalg.eigh(ham[np.ix_(i, i)]) for s, i in sectors.items()}
     e0 = min(w[0] for w, _ in eig.values())
     tol = _GROUND_TOL * max(1.0, abs(e0))
 
-    sx_vals: list[float] = []
-    sz_vals: list[float] = []
-    for sec in sorted(eig):
-        w, v = eig[sec]
-        hit = np.nonzero(w - e0 <= tol)[0]
-        if len(hit) == 0:
-            continue
-        idx = sectors[sec]
-        ox_sec = ox[np.ix_(idx, idx)]
-        # the impurity bit is the high one: the lower half of the states has spin up
-        imp_sz = np.where(idx < len(ox) // 2, 0.5, -0.5)
-        for i in hit:
-            vec = v[:, i]
-            sx_vals.append(float(vec @ ox_sec @ vec))
-            sz_vals.append(2.0 * float(vec @ (imp_sz * vec)))
+    # the ground multiplet, one column per state, over the whole Fock space
+    blocks = []
+    for sec, (w, v) in eig.items():
+        hit = w - e0 <= tol
+        block = np.zeros((len(ham), np.count_nonzero(hit)))
+        block[sectors[sec]] = v[:, hit]
+        blocks.append(block)
+    ground = np.hstack(blocks)
+    # the impurity bit is the high one: the lower half of the states has spin up
+    two_sz = np.where(np.arange(len(ham)) < len(ham) // 2, 1.0, -1.0)
     return ExactGround(
         e0=float(e0),
-        sx_raw=float(np.mean(sx_vals)),
-        sz_raw=float(np.mean(sz_vals)),
-        degeneracy=len(sx_vals),
+        sx_raw=float(np.mean(np.einsum("ij,ij->j", ground, ox @ ground))),
+        sz_raw=float(np.mean(np.einsum("i,ij,ij->j", two_sz, ground, ground))),
+        degeneracy=ground.shape[1],
+        levels={s: w for s, (w, _) in eig.items()},
     )
 
 
@@ -216,8 +196,7 @@ def compare_with_nrg(k: KondoParams, chain: WilsonChain, sites: int) -> NRGCompa
     Each exact sector deviates by its largest eigenvalue difference, or by
     inf where either side has a level the other lacks; a NaN anywhere fails.
     """
-    eig, ox, sectors = _solve(k, chain, sites)
-    exact = _ground(eig, ox, sectors)
+    exact = exact_ground(k, chain, sites)
     state, sx_raw, sz_raw = _at_depth(k, chain, sites, None)
 
     # the charge sector q of the oracle holds the I_z = q/2 member of every
@@ -231,7 +210,7 @@ def compare_with_nrg(k: KondoParams, chain: WilsonChain, sites: int) -> NRGCompa
 
     max_dev = float(np.max([
         np.max(np.abs(w - nrg_w[sec])) if len(w) == len(nrg_w.get(sec, ())) else np.inf
-        for sec, (w, _) in eig.items()
+        for sec, w in exact.levels.items()
     ]))
     sx_dev = abs(sx_raw - exact.sx_raw)
     sz_dev = abs(sz_raw - exact.sz_raw)

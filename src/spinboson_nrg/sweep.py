@@ -223,7 +223,7 @@ def run_sweep(
     progress=None,
 ) -> list[ObservableRecord]:
     """Evaluate every grid point; with jobs > 1, points run in a process pool
-    of min(jobs, usable CPUs) workers, and serially when that is 1.
+    of min(jobs, usable CPUs, points) workers, and serially when that is 1.
 
     Pool workers run BLAS single-threaded (see `_process_pool`); they are
     spawned and re-import `__main__`, so a script needs jobs > 1 calls under
@@ -234,7 +234,7 @@ def run_sweep(
     work = [(p, cfg) for p in spec.points()]
     records = []
     with contextlib.ExitStack() as stack:
-        mapper, workers = map, min(jobs, engine._usable_cpus())
+        mapper, workers = map, min(jobs, engine._usable_cpus(), len(work))
         if workers > 1:
             mapper = stack.enter_context(_process_pool(workers)).map
         for rec in mapper(_evaluate_point, work):

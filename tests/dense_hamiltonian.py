@@ -1,10 +1,11 @@
-"""The oracle's full Hamiltonian and fermion operators as dense matrices, for
-tests of invariants that span sectors, and a solver read-out with a NaN level
-planted, for tests that the comparison fails on it."""
+"""The oracle's full Hamiltonian, its sector blocks and fermion operators as
+dense matrices, for tests of invariants that span sectors, and a solver
+read-out with a NaN level planted, for tests that the comparison fails on it."""
 
 import numpy as np
 
 from spinboson_nrg.chain import WilsonChain
+from spinboson_nrg.engine import Sector
 from spinboson_nrg.oracle import _apply_fdag, _fock_space
 from spinboson_nrg.params import KondoParams
 
@@ -18,6 +19,15 @@ def full_hamiltonian(
     for sec, states in sectors.items():
         labels[states] = sec
     return ham, labels
+
+
+def sector_hamiltonians(
+    k: KondoParams, chain: WilsonChain, sites: int
+) -> tuple[dict[Sector, np.ndarray], dict[Sector, np.ndarray]]:
+    """Dense Hamiltonian blocks, one per (q, 2Sz) sector, and each sector's
+    state indices."""
+    ham, _, sectors = _fock_space(k, chain, sites)
+    return {s: ham[np.ix_(i, i)] for s, i in sectors.items()}, sectors
 
 
 def fock_operators(sites: int, apply=_apply_fdag) -> list[np.ndarray]:

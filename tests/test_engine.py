@@ -38,9 +38,8 @@ from spinboson_nrg.observables import (
 )
 from spinboson_nrg.fock import DN, DOUBLE, EMPTY, FDAG_DN, FDAG_UP, FLIP, FLIP_SIGN
 from spinboson_nrg.fock import N_EL, UP
-from spinboson_nrg.oracle import sector_hamiltonians
 
-from dense_hamiltonian import fock_operators, full_hamiltonian
+from dense_hamiltonian import fock_operators, full_hamiltonian, sector_hamiltonians
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 

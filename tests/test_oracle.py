@@ -14,9 +14,9 @@ from spinboson_nrg import (
 )
 import spinboson_nrg.oracle as oracle_mod
 from spinboson_nrg.fock import FDAG_DN, FDAG_UP
-from spinboson_nrg.oracle import _apply_f, sector_hamiltonians
+from spinboson_nrg.oracle import _apply_f, _fock_space
 
-from dense_hamiltonian import fock_operators, full_hamiltonian, nan_level
+from dense_hamiltonian import fock_operators, full_hamiltonian, nan_level, sector_hamiltonians
 
 GENERIC = KondoParams(rho0_jperp=0.1, rho0_jpar=0.6, field=0.05)
 ZERO_FIELD = KondoParams(rho0_jperp=0.3, rho0_jpar=1.1, field=0.0)
@@ -145,6 +145,29 @@ class TestHamiltonian:
         assert result.degeneracy >= 2
         assert abs(result.sz_raw) < 1e-12
         assert abs(result.sx_raw) < 1e-12
+
+    @pytest.mark.parametrize(
+        "k, sites, degeneracy",
+        [(ZERO_FIELD, 2, 2), (ZERO_FIELD, 4, 2), (GENERIC, 3, 1)],
+        ids=["zero-field-2", "zero-field-4", "generic-3"],
+    )
+    def test_readout_is_ground_space_trace(self, k, sites, degeneracy):
+        # the multiplet average is the trace of O_x and 2 S_z over the ground
+        # eigenspace, here from one eigh of the full H with no sectors.  At
+        # zero field the ground is a doublet in sectors (0, +-1) with nonzero
+        # sx, and its states read sz +-0.845 (2 sites) and +-0.598 (4 sites),
+        # so the average is not any one state's value
+        chain = build_chain(2.0, sites)
+        ham, ox, _ = _fock_space(k, chain, sites)
+        w, v = np.linalg.eigh(ham)
+        space = v[:, w - w[0] <= 1e-9]
+        two_sz = np.where(np.arange(len(ham)) < len(ham) // 2, 1.0, -1.0)
+        result = exact_ground(k, chain, sites)
+        assert result.degeneracy == space.shape[1] == degeneracy
+        assert result.sx_raw == pytest.approx(
+            np.trace(space.T @ ox @ space) / degeneracy, abs=1e-12)
+        assert result.sz_raw == pytest.approx(
+            np.trace(space.T @ (two_sz[:, None] * space)) / degeneracy, abs=1e-12)
 
 
 class TestHellmannFeynman:

@@ -134,10 +134,12 @@ class TestRunSweep:
         assert "synthetic failure" in failed[0].error
         assert not failed[0].converged
 
-    @pytest.mark.parametrize("jobs, cpus, workers", [(1000, 3, 3), (2, 3, 2), (4, 1, None)])
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers", [(1000, 3, 3), (2, 3, 2), (4, 1, None), (8, 8, 3)]
+    )
     def test_workers_capped_at_usable_cpus(self, jobs, cpus, workers, monkeypatch):
         # no process starts: the executor maps in this process, and every
-        # point is a stub record
+        # point is a stub record; three points need no more than three workers
         given = []
 
         class Executor:
