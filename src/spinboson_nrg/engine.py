@@ -38,12 +38,10 @@ rotation read that map.  The first step extends the bare impurity (iteration
 the hopping xi_N (f^dag_new f_old + h.c.).
 
 Assembly: an assembled block holds only its lower triangle (and its diagonal
-blocks in full), as numpy's `eigh` reads only that triangle.  Each piece is
-written once, transposed when it lies above the diagonal; a piece on a
-diagonal block, such as the Ising term of the first step, adds itself and
-its transpose.  Only the parity split of a sector that F fixes gathers full
-rows, so `_diagonalize_representative` mirrors that block's lower triangle,
-in place, before the split.
+blocks in full), as every reader of it, numpy's `eigh` and the parity split
+alike, reads only that triangle.  Each piece is written once, transposed when
+it lies above the diagonal; a piece on a diagonal block, such as the Ising
+term of the first step, adds itself and its transpose.
 
 Spin flip: at zero field the flip F of every spin commutes with H, and
 IterationState.flip says so.  It maps the sector (q, two_sz) to (q, -two_sz)
@@ -81,15 +79,16 @@ moved up to the next clear gap (see `truncate`); blocks are ascending, so
 each sector keeps a prefix.
 
 Concurrency: the representatives of one iteration are independent
-eigenproblems, and numpy's `eigh` releases the GIL.  `run` diagonalizes them
-on the calling thread and one helper thread per further usable CPU, with
-OpenBLAS held on one thread for the run (`_block_mapper`): a multithreaded
-BLAS beside the helpers would oversubscribe the cores.  The blocks come
-largest first, and each thread takes the next one (`_drain`).  With one
-usable CPU there is no helper.  The results are gathered by sector, so any
-of these runs matches a serial one at the same BLAS thread count bit for
-bit.  `run` stays serial where numpy's OpenBLAS is not found and in the
-worker processes of a sweep.
+eigenproblems, and numpy's `eigh` releases the GIL on a block of more than
+about 500 elements (23 rows and up), so threads gain on the large blocks only.
+`run` diagonalizes them on the calling thread and one helper thread per
+further usable CPU, with OpenBLAS held on one thread for the run
+(`_block_mapper`): a multithreaded BLAS beside the helpers would oversubscribe
+the cores.  The blocks come largest first, and each thread takes the next one
+(`_drain`).  With one usable CPU there is no helper.  The results are gathered
+by sector, so any of these runs matches a serial one at the same BLAS thread
+count bit for bit.  `run` stays serial where numpy's OpenBLAS is not found and
+in the worker processes of a sweep.
 
 Step loop and verdict: `iterate` alone steps the iterations (`add_site`,
 `truncate`, then the observables' `propagate` and read-out), for `run` and
@@ -263,13 +262,14 @@ def _flipped(t: Sector) -> Sector:
 def _split_by_parity(ham: np.ndarray, sector: Sector, dest, sign):
     """Diagonalize a sector that F fixes, its F-even and F-odd blocks apart.
 
-    F acts on the rows as the signed involution F e_r = sign[r] e_dest[r]; ham
-    is symmetric and commutes with it.  A row a that F fixes lies in the block
-    of parity sign[a]; a swapped pair a < dest[a] gives (e_a + p sign[a]
-    e_dest[a]) / sqrt(2) to the block of parity p.  With b_a = norm_a (e_a +
-    p F e_a) and F ham F = ham, <b_a|ham|b_b> = 2 norm_a norm_b <e_a|ham|e_b +
-    p F e_b>, gathered from the rows a of ham.  Returns the energies, the
-    vectors and the parity of each state, in energy order.
+    F acts on the rows as the signed involution F e_r = sign[r] e_dest[r]; the
+    symmetric H, held in the lower triangle of ham, commutes with it.  A row a
+    that F fixes lies in the block of parity sign[a]; a swapped pair a <
+    dest[a] gives (e_a + p sign[a] e_dest[a]) / sqrt(2) to the block of
+    parity p.  With b_a = norm_a (e_a + p F e_a) and F H F = H, <b_a|H|b_b> =
+    2 norm_a norm_b <e_a|H|e_b + p F e_b>, gathered from the rows a of H.
+    Returns the energies, the vectors and the parity of each state, in energy
+    order.
     """
     d = len(ham)
     lead = np.flatnonzero(dest >= np.arange(d))  # a row of each pair, or fixed
@@ -283,9 +283,9 @@ def _split_by_parity(ham: np.ndarray, sector: Sector, dest, sign):
         b, cols = dest[a], slice(lo, lo + len(a))
         norm = 1.0 / np.sqrt(np.where(a == b, 4.0, 2.0))
         coef = p * sign[a] * norm
-        rows = ham[a]
-        m = rows[:, a] * norm
-        m += rows[:, b] * coef
+        # H[a_i, c_j] = ham[max, min], at its flat index in the lower triangle
+        m = ham.take(np.maximum.outer(a, a) * d + np.minimum.outer(a, a)) * norm
+        m += ham.take(np.maximum.outer(a, b) * d + np.minimum.outer(a, b)) * coef
         m *= (2.0 * norm)[:, None]
         energies[cols], x = _diagonalize(m, sector)
         vectors[a, cols] = norm[:, None] * x
@@ -432,14 +432,7 @@ def _diagonalize_representative(flip: bool, old, layout: Layout, ham, r, entries
         w, v = _diagonalize(ham, r)
         return {r: (w, v, None)}
     dest, sign = _flip_rows(old, layout, entries)
-    if r.two_sz == 0:
-        # F maps the rows of r onto themselves; the parity split gathers full
-        # rows, so each block above the diagonal is mirrored from the one below
-        # it, in place
-        slices = [rows for _, _, rows in entries]
-        for i, upper in enumerate(slices):
-            for lower in slices[i + 1 :]:
-                ham[upper, lower] = ham[lower, upper].T
+    if r.two_sz == 0:  # F maps the rows of r onto themselves
         return {r: _split_by_parity(ham, r, dest, sign)}
     w, v = _diagonalize(ham, r)
     image = np.empty_like(v)
@@ -606,10 +599,8 @@ def truncate(state: IterationState, n_keep: int) -> IterationState:
     # each block is ascending, so it keeps its levels up to the cut
     below = np.cumsum(levels <= e_cut)[np.cumsum(sizes) - 1]
     blocks: dict[Sector, SectorBlock] = {}
-    for (s, b), c, size in zip(state.blocks.items(), np.diff(below, prepend=0), sizes):
-        if c == size:
-            blocks[s] = b
-        elif c:
+    for (s, b), c in zip(state.blocks.items(), np.diff(below, prepend=0)):
+        if c:
             # copies, so that the untruncated arrays are freed
             sym = None if b.sym is None else b.sym[:c]
             energies, vectors = b.energies[:c].copy(), b.vectors[:, :c].copy()

@@ -26,7 +26,8 @@ from spinboson_nrg import (
     run,
 )
 import spinboson_nrg.engine as engine_mod
-from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, PLATEAU_WINDOW, SITE_ONE
+from spinboson_nrg.engine import DEGENERACY_TOL, ETA, FDAG, PLATEAU_TOL, PLATEAU_WINDOW
+from spinboson_nrg.engine import SITE_ONE
 from spinboson_nrg.engine import EngineError
 from spinboson_nrg.engine import _n_star, _plateau_status
 from spinboson_nrg.engine import Sector, SectorBlock, add_site, init_impurity_site
@@ -368,6 +369,17 @@ class TestRun:
         # omega_N must undercut ETA * Delta_r ~ 2e-16
         assert report.n_m > report.n_star
 
+    def test_even_odd_read_out_averages_the_last_two_iterations(self):
+        # at lambda 1.3 this point's flow alternates with the parity of n by
+        # more than PLATEAU_TOL, so it converges on the even/odd plateau
+        p = SpinBosonPoint(alpha=0.5, epsilon=1.0, delta_ratio=0.1)
+        _, report = run(p, NRGConfig(lam=1.3, n_keep=100))
+        assert report.converged and report.even_odd_averaged
+        assert report.drift_sx > PLATEAU_TOL
+        h = report.history
+        assert report.sx == -(h[-1][1] + h[-2][1]) / 2
+        assert report.sz == -(h[-1][2] + h[-2][2]) / 2
+
     def test_alpha_near_one_converges(self):
         # ln Delta_r = ln 2 + 1000 ln 0.04 ~ -3218: Delta_r is far below the
         # float range, N* ~ 2800, and omega_N underflows to 0.0 near n = 649
@@ -683,6 +695,15 @@ def test_unscale_is_omega_n_in_closed_form(lam, depth):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_config_rejected(name, value):
     with pytest.raises(DomainError):
+        NRGConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("n_keep", 15, "n_keep must be >= 16"), ("n_max", 0, "n_max must be >= 1")],
+)
+def test_config_below_its_floor_rejected(name, value, message):
+    with pytest.raises(DomainError, match=message):
         NRGConfig(**{name: value})
 
 
@@ -1030,25 +1051,29 @@ def test_ising_term_alone_matches_oracle(field):
         )
 
 
-def test_character_split_sees_a_symmetric_matrix(monkeypatch):
-    # a block is assembled in its lower triangle; the parity split of a
-    # fixed sector gathers full rows, so it must get the mirrored matrix
-    seen = []
-    split = engine_mod._split_by_parity
+def test_blocks_are_read_from_their_lower_triangle_alone(monkeypatch):
+    # a block is assembled in its lower triangle, and every reader of it,
+    # eigh and the parity split of a fixed sector alike, reads only that
+    # triangle and writes nothing: NaN above the diagonal stays there and
+    # leaves every record of a run as it was
+    p = SpinBosonPoint(alpha=0.4, epsilon=0.0, delta_ratio=0.04)
+    cfg = NRGConfig(n_keep=100)
+    _, clean = run(p, cfg)
+    split = []
+    solve = engine_mod._diagonalize_representative
 
-    def recording(ham, sector, dest, sign):
-        seen.append(ham.copy())
-        return split(ham, sector, dest, sign)
+    def poisoned(flip, old, layout, ham, r, entries):
+        ham[np.triu_indices(len(ham), 1)] = np.nan
+        before = ham.copy()
+        out = solve(flip, old, layout, ham, r, entries)
+        assert np.array_equal(ham, before, equal_nan=True)
+        split.append(r.two_sz == 0)
+        return out
 
-    monkeypatch.setattr(engine_mod, "_split_by_parity", recording)
-    chain = build_chain(2.0, 6)
-    st = init_impurity_site(_alpha_04(0.0))
-    for _ in range(5):
-        st = truncate(add_site(st, chain), 60)
-    assert len(seen) >= 5
-    for ham in seen:
-        assert np.array_equal(ham, ham.T)
-    assert any(np.count_nonzero(np.triu(ham, 1)) for ham in seen)
+    monkeypatch.setattr(engine_mod, "_diagonalize_representative", poisoned)
+    _, report = run(p, cfg)
+    assert report.converged and report == clean
+    assert sum(split) > report.n_m  # fixed sectors were split, more than once a step
 
 
 def test_parity_split_diagonalizes_each_parity(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,11 @@ class TestPropagate:
             w_direct = np.linalg.eigvalsh(direct)
             assert np.max(np.abs(w_prop - w_direct)) < 1e-10
 
+    def test_seeded_only_from_the_impurity_site(self):
+        st = add_site(init_impurity_site(GENERIC), build_chain(2.0, 2))
+        with pytest.raises(ValueError, match="seeded from the impurity-site state"):
+            init_operator_blocks(st)
+
     def test_wrong_iteration_rejected(self):
         chain = build_chain(2.0, 3)
         st = init_impurity_site(GENERIC)
@@ -124,6 +130,13 @@ class TestPropagate:
 
 
 class TestExpectationValues:
+    def test_no_level_at_zero_rejected(self):
+        st = init_impurity_site(GENERIC)
+        ops = init_operator_blocks(st)
+        lifted = {s: replace(b, energies=b.energies + 1.0) for s, b in st.blocks.items()}
+        with pytest.raises(ValueError, match="no ground state"):
+            ground_expectation_raw(replace(st, blocks=lifted), ops)
+
     def test_matches_oracle_raw(self):
         chain = build_chain(2.0, 4)
         st, ops = _trajectory(GENERIC, chain, 4)

@@ -58,6 +58,11 @@ class TestKondoParams:
         with pytest.raises(DomainError):
             KondoParams(rho0_jperp=0.04, rho0_jpar=0.0, field=0.0)
 
+    @pytest.mark.parametrize("jperp", [0.0, -0.04])
+    def test_non_positive_jperp_rejected(self, jperp):
+        with pytest.raises(DomainError, match="rho0_jperp=.* must be > 0"):
+            KondoParams(rho0_jperp=jperp, rho0_jpar=0.8, field=0.0)
+
     def test_longitudinal_flag(self):
         assert KondoParams(0.04, 0.8, 0.0).in_longitudinal_sector
         assert not KondoParams(0.8, 0.04, 0.0).in_longitudinal_sector

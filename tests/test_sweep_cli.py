@@ -248,6 +248,12 @@ class TestOutput:
         assert float(sx_cell) == pytest.approx(sample_record.sx, rel=1e-11)
         assert len(sx_cell.replace("-", "").replace(".", "").lstrip("0")) <= 13
 
+    def test_unknown_format_rejected(self, sample_record):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="unsupported format 'xml'"):
+            write_output([sample_record], "xml", buf)
+        assert buf.getvalue() == ""
+
     def test_json_round_trip_bit_exact(self, sample_record, tmp_path):
         path = tmp_path / "records.json"
         write_json([sample_record], path, FAST)
@@ -418,6 +424,15 @@ class TestCLI:
     def test_non_numeric_axis_exit_code(self, axis, capsys):
         assert main(["sweep", "--alpha", axis]) == 1
         assert capsys.readouterr().err.startswith("error: bad axis")
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [("0:1", "range must be start:stop:step, got '0:1'"),
+         ("0.1:0.5:0", "range step must be positive")],
+    )
+    def test_malformed_range_exit_code(self, axis, message, capsys):
+        assert main(["sweep", "--alpha", axis]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_positive_jobs_exit_code(self, capsys, monkeypatch):
         solved = []
